@@ -31,4 +31,4 @@ from .spaces import (SubspaceBasis, assoc_centroid_membership,
                      inner_derivation, tensor_centroid_derivation,
                      varsigma_hom_lie)
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"

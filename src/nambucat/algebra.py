@@ -56,7 +56,7 @@ class BracketTensor:
     operator-valued tensors such as representations).
     """
 
-    __slots__ = ("dim", "arity", "vdim", "coeffs", "skew_storage", "_dense")
+    __slots__ = ("dim", "arity", "vdim", "coeffs", "skew_storage", "_dense", "_zero")
 
     def __init__(self, dim: int, arity: int,
                  coeffs: Dict[Tuple[int, ...], Vector],
@@ -79,6 +79,7 @@ class BracketTensor:
                 clean[idx] = vec
         self.coeffs = clean
         self._dense = None
+        self._zero = Vector.zero(self.vdim)   # shared: Vector is immutable
 
     @classmethod
     def zero(cls, dim: int, arity: int, vdim: Optional[int] = None) -> "BracketTensor":
@@ -106,12 +107,12 @@ class BracketTensor:
         if self.skew_storage:
             key, sign = sort_with_sign(idx)
             if key is None:
-                return Vector.zero(self.vdim)
+                return self._zero
             vec = self.coeffs.get(key)
             if vec is None:
-                return Vector.zero(self.vdim)
+                return self._zero
             return vec if sign == 1 else -vec
-        return self.coeffs.get(tuple(idx), Vector.zero(self.vdim))
+        return self.coeffs.get(tuple(idx), self._zero)
 
     def dense_items(self) -> List[Tuple[Tuple[int, ...], Vector]]:
         """All nonzero (tuple, value) pairs, skew storage expanded, sorted."""
@@ -210,6 +211,12 @@ class BracketTensor:
                 f"nnz={len(self.coeffs)}, skew_storage={self.skew_storage})")
 
 
+def _common_twist(twists: Tuple[Matrix, ...]) -> Matrix:
+    if any(t != twists[0] for t in twists[1:]):
+        raise ValueError("twists differ")
+    return twists[0]
+
+
 @dataclass(frozen=True)
 class HomNambuAlgebra:
     """An n-ary bracket with a family of n-1 twist maps.
@@ -238,9 +245,7 @@ class HomNambuAlgebra:
     @property
     def twist(self) -> Matrix:
         """The common twist of a multiplicative algebra (twists must agree)."""
-        if any(t != self.twists[0] for t in self.twists[1:]):
-            raise ValueError("twists differ")
-        return self.twists[0]
+        return _common_twist(self.twists)
 
     def with_flags(self, skew: Optional[bool] = None,
                    multiplicative: Optional[bool] = None) -> "HomNambuAlgebra":
@@ -284,6 +289,11 @@ class HomAssocNAry:
             raise ValueError("product tensor does not match dim/arity")
         if len(self.twists) != self.arity - 1:
             raise ValueError(f"expected {self.arity - 1} twist maps")
+
+    @property
+    def twist(self) -> Matrix:
+        """The common twist (twists must agree)."""
+        return _common_twist(self.twists)
 
 
 @dataclass(frozen=True)

@@ -68,20 +68,35 @@ def _bracket_json(t: BracketTensor) -> List[dict]:
             for idx, v in entries]
 
 
-def _bracket_from(data, dim: int, arity: int, vdim: int) -> Dict[Tuple[int, ...], Vector]:
+def _is_int(x) -> bool:
+    """A JSON integer: JSON true and false load as bool, a subclass of int."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _entries_from(data, keys: set, what: str) -> list:
     if not isinstance(data, list):
-        raise FileFormatError("bracket: expected a list of entries")
-    items: Dict[Tuple[int, ...], Vector] = {}
+        raise FileFormatError(f"{what}: expected a list of entries")
     for e in data:
-        if not isinstance(e, dict) or set(e) != {"inputs", "output"}:
-            raise FileFormatError("bracket entry must have exactly 'inputs' and 'output'")
-        idx = e["inputs"]
-        if (not isinstance(idx, list) or len(idx) != arity
-                or not all(isinstance(i, int) and 1 <= i <= dim for i in idx)):
-            raise FileFormatError(f"bracket entry has bad inputs {idx!r}")
-        key = tuple(i - 1 for i in idx)
+        if not isinstance(e, dict) or set(e) != keys:
+            raise FileFormatError(f"{what} entry must have exactly "
+                                  + " and ".join(f"'{k}'" for k in sorted(keys)))
+    return data
+
+
+def _index_tuple(idx, length: int, dim: int, what: str) -> Tuple[int, ...]:
+    """0-based basis index tuple from 1-based file indices."""
+    if (not isinstance(idx, list) or len(idx) != length
+            or not all(_is_int(i) and 1 <= i <= dim for i in idx)):
+        raise FileFormatError(f"{what} entry has bad inputs {idx!r}")
+    return tuple(i - 1 for i in idx)
+
+
+def _bracket_from(data, dim: int, arity: int, vdim: int) -> Dict[Tuple[int, ...], Vector]:
+    items: Dict[Tuple[int, ...], Vector] = {}
+    for e in _entries_from(data, {"inputs", "output"}, "bracket"):
+        key = _index_tuple(e["inputs"], arity, dim, "bracket")
         if key in items:
-            raise FileFormatError(f"duplicate bracket entry for inputs {idx}")
+            raise FileFormatError(f"duplicate bracket entry for inputs {e['inputs']}")
         items[key] = _vec_from(e["output"], vdim, "bracket output")
     return items
 
@@ -147,9 +162,9 @@ def from_document(doc: dict, verify: bool = True) -> AlgebraLike:
     if kind not in ("hom_nambu", "hom_leibniz", "hom_assoc", "quadratic_lie"):
         raise FileFormatError(f"unknown kind {kind!r}")
     dim, arity = doc.get("dim"), doc.get("arity")
-    if not (isinstance(dim, int) and dim >= 1):
+    if not (_is_int(dim) and dim >= 1):
         raise FileFormatError("dim must be a positive integer")
-    if not (isinstance(arity, int) and arity >= 2):
+    if not (_is_int(arity) and arity >= 2):
         raise FileFormatError("arity must be an integer >= 2")
     if kind in ("hom_leibniz", "quadratic_lie") and arity != 2:
         raise FileFormatError(f"{kind} requires arity 2")
@@ -267,15 +282,14 @@ def representation_from_document(doc: dict) -> Representation:
         raise FileFormatError("expected kind 'representation'")
     d, n, m = doc.get("source_dim"), doc.get("arity"), doc.get("target_dim")
     for label, x in (("source_dim", d), ("arity", n), ("target_dim", m)):
-        if not (isinstance(x, int) and x >= 1):
+        if not (_is_int(x) and x >= 1):
             raise FileFormatError(f"{label} must be a positive integer")
     items: Dict[Tuple[int, ...], Vector] = {}
-    for e in doc.get("rho", []):
-        idx = tuple(i - 1 for i in e["inputs"])
-        mat = _mat_from(e["matrix"], m, m, "rho matrix")
-        items[idx] = mat.flatten()
+    for e in _entries_from(doc.get("rho", []), {"inputs", "matrix"}, "rho"):
+        idx = _index_tuple(e["inputs"], n - 1, d, "rho")
+        items[idx] = _mat_from(e["matrix"], m, m, "rho matrix").flatten()
     rho = BracketTensor(d, n - 1, items, vdim=m * m)
-    return Representation(d, n, m, rho, _mat_from(doc["nu"], m, m, "nu"))
+    return Representation(d, n, m, rho, _mat_from(doc.get("nu"), m, m, "nu"))
 
 
 def matrix_from_file(path, dim: Optional[int] = None) -> Matrix:

@@ -1,7 +1,8 @@
 """Exact rational linear algebra: vectors, matrices, nullspaces, ranks, determinants.
 
-Everything is built on ``fractions.Fraction``, so all results are exact;
-no operation ever rounds. Solution-space bases are returned in reduced
+Everything is built on ``fractions.Fraction`` (the nullspace elimination
+works on rows scaled to Python integers), so all results are exact; no
+operation ever rounds. Solution-space bases are returned in reduced
 echelon normal form, which makes them canonical: two calls on equal
 matrices return identical bases.
 """
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence, Union
 
 Rational = Union[Fraction, int, str]
@@ -159,6 +161,10 @@ class Matrix:
     def row_list(self) -> list:
         return [list(self.entries[i * self.cols:(i + 1) * self.cols]) for i in range(self.rows)]
 
+    def sparse_rows(self) -> list:
+        """Rows as {column: value} dicts of their nonzero entries."""
+        return [{j: x for j, x in enumerate(row) if x} for row in self.row_list()]
+
     def apply(self, v: Vector) -> Vector:
         """Matrix-vector product."""
         if v.dim != self.cols:
@@ -298,29 +304,109 @@ def rank(m: Matrix) -> int:
     return len(pivots)
 
 
-def nullspace(m: Matrix) -> list:
+class SparseMatrix:
+    """Rows of a linear system as {column: value} dicts; absent entries are zero."""
+
+    __slots__ = ("rows", "cols", "row_dicts")
+
+    def __init__(self, cols: int, row_dicts: Sequence[dict]):
+        self.rows = len(row_dicts)
+        self.cols = cols
+        self.row_dicts = row_dicts
+
+    def sparse_rows(self) -> Sequence[dict]:
+        return self.row_dicts
+
+
+def _primitive(row: dict) -> dict:
+    """Divide an integer row by the gcd of its entries, in place."""
+    g = gcd(*row.values())
+    if g > 1:
+        for j in row:
+            row[j] //= g
+    return row
+
+
+def _integer_row(row: dict) -> dict:
+    """The nonzero entries of a rational row, scaled to coprime integers."""
+    den = lcm(*(x.denominator for x in row.values()))
+    return _primitive({j: x.numerator * (den // x.denominator)
+                       for j, x in row.items() if x})
+
+
+def _eliminate(row: dict, pivot: dict, c: int) -> None:
+    """row <- b * row - a * pivot with a/b = row[c]/pivot[c] in lowest terms,
+    which clears column c and keeps every entry an integer."""
+    g = gcd(row[c], pivot[c])
+    a, b = row[c] // g, pivot[c] // g
+    if b != 1:
+        for j in row:
+            row[j] *= b
+    for j, y in pivot.items():
+        v = row.get(j, 0) - a * y
+        if v:
+            row[j] = v
+        else:
+            del row[j]
+
+
+def _echelon(rows: Iterable[dict], ncols: int) -> dict:
+    """Fully reduced echelon form of the span of the rows, built one row at a time.
+
+    Returns {pivot column: primitive integer row}; each row's pivot is its
+    leftmost entry, is positive, and is the only nonzero entry of any pivot
+    column in the set.  Sorted by pivot and divided by the pivot entries, the
+    rows are the reduced row echelon form, which depends on the span alone.
+    Stops early once the rank reaches ncols.
+    """
+    pivots: dict = {}
+    for raw in rows:
+        row = _integer_row(raw)
+        for c in [c for c in row if c in pivots]:
+            _eliminate(row, pivots[c], c)
+        if not row:
+            continue
+        _primitive(row)
+        c = min(row)
+        if row[c] < 0:
+            for j in row:
+                row[j] = -row[j]
+        for q in pivots.values():
+            if c in q:
+                _eliminate(q, row, c)
+                _primitive(q)
+        pivots[c] = row
+        if len(pivots) == ncols:
+            break
+    return pivots
+
+
+def nullspace(m) -> list:
     """Exact basis of {v : m v = 0}, canonicalized to echelon normal form.
 
-    An empty or zero matrix yields the full-space standard basis.
+    ``m`` is a Matrix or a SparseMatrix.  Its rows are reduced one at a time
+    against the current fully reduced echelon basis, with fraction-free
+    integer steps (as in Bareiss 1968) and each row kept divided by the gcd
+    of its entries.  An empty or zero matrix yields the full-space standard
+    basis.
     """
     n = m.cols
-    if m.rows == 0 or n == 0:
-        return [Vector.basis(n, i) for i in range(n)]
-    rows, pivots = _rref(m.row_list())
-    pivot_set = set(pivots)
-    free = [c for c in range(n) if c not in pivot_set]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * n
-        v[f] = Fraction(1)
-        for r, p in enumerate(pivots):
-            v[p] = -rows[r][f]
-        basis.append(v)
-    if not basis:
-        return []
+    pivots = _echelon(m.sparse_rows(), n)
+    basis = {f: {f: Fraction(1)} for f in range(n) if f not in pivots}
+    for p, row in pivots.items():
+        for f, x in row.items():
+            if f != p:
+                basis[f][p] = Fraction(-x, row[p])
     # canonicalize representatives: echelon-reduce the basis itself
-    basis, _ = _rref(basis)
-    return [Vector(row) for row in basis]
+    reduced = _echelon(basis.values(), n)
+    out = []
+    for p in sorted(reduced):
+        row, lead = reduced[p], reduced[p][p]
+        v = [Fraction(0)] * n
+        for j, x in row.items():
+            v[j] = Fraction(x, lead)
+        out.append(Vector(v))
+    return out
 
 
 def det(m: Matrix) -> Fraction:

@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .algebra import (BracketTensor, HomAssocNAry, HomLeibnizAlgebra,
                       HomNambuAlgebra, all_tuples)
 from .checks import CheckReport, Counterexample, check_hom_leibniz, check_skew_symmetry
-from .linalg import Matrix, Vector, in_span, nullspace
+from .linalg import Matrix, SparseMatrix, Vector, in_span, nullspace
 
 
 @dataclass(frozen=True)
@@ -45,14 +45,40 @@ def _twist_power(a, k: int) -> Matrix:
     return a.twist.power(k)
 
 
-def _matrix_nullspace_basis(rows: List[List[Fraction]], d: int) -> SubspaceBasis:
-    if rows:
-        sols = nullspace(Matrix.from_rows(rows))
-    else:
-        sols = [Vector.basis(d * d, i) for i in range(d * d)]
-    mats = tuple(Matrix.from_rows([[v[u * d + s] for s in range(d)]
-                                   for u in range(d)]) for v in sols)
-    return SubspaceBasis("matrix", d, mats)
+def _assemble(d: int, width: int, lhs: Optional[BracketTensor],
+              patterns: Sequence[Tuple[int, BracketTensor]]) -> List[Dict[int, Fraction]]:
+    """Linear equations on an unknown d-by-width matrix X, from nonzero entries only.
+
+    For each basis tuple t and output coordinate r the equation reads
+    sum_s lhs(t)_s X[r, s] = sum over (i, P) in patterns of
+    sum_j P(t with j in slot i)_r X[j, t_i], where slot i of t ranges over
+    range(width); a lhs term needs width = d.  Rows are {column: coefficient}
+    dicts with X[u, s] in column u * width + s; rows that vanish are dropped.
+    """
+    rows: Dict[Tuple[Tuple[int, ...], int], Dict[int, Fraction]] = {}
+
+    def add(t, r, col, x):
+        row = rows.setdefault((t, r), {})
+        row[col] = row.get(col, 0) + x
+
+    if lhs is not None:
+        for t, vec in lhs.dense_items():
+            for s, x in enumerate(vec.entries):
+                if x:
+                    for r in range(d):
+                        add(t, r, r * width + s, x)
+    for i, pattern in patterns:
+        for key, vec in pattern.dense_items():
+            for r, x in enumerate(vec.entries):
+                if x:
+                    for ti in range(width):
+                        add(key[:i] + (ti,) + key[i + 1:], r, key[i] * width + ti, -x)
+    return [row for row in rows.values() if any(row.values())]
+
+
+def _matrix_nullspace_basis(rows: List[Dict[int, Fraction]], d: int) -> SubspaceBasis:
+    sols = nullspace(SparseMatrix(d * d, rows))
+    return SubspaceBasis("matrix", d, tuple(Matrix(d, d, v.entries) for v in sols))
 
 
 def compute_centroid(a: HomNambuAlgebra, k: int) -> SubspaceBasis:
@@ -61,21 +87,7 @@ def compute_centroid(a: HomNambuAlgebra, k: int) -> SubspaceBasis:
     d, n = a.dim, a.arity
     pw = _twist_power(a, k)
     pattern = a.bracket.transform([None] + [pw] * (n - 1))
-    rows: List[List[Fraction]] = []
-    seen = set()
-    for t in all_tuples(d, n):
-        cv = a.bracket.value(t)
-        for r in range(d):
-            row = [Fraction(0)] * (d * d)
-            for s in range(d):
-                row[r * d + s] += cv[s]
-            for j in range(d):
-                row[j * d + t[0]] -= pattern.value((j,) + t[1:])[r]
-            key = tuple(row)
-            if any(row) and key not in seen:
-                seen.add(key)
-                rows.append(row)
-    return _matrix_nullspace_basis(rows, d)
+    return _matrix_nullspace_basis(_assemble(d, d, a.bracket, [(0, pattern)]), d)
 
 
 def centroid_membership(a: HomNambuAlgebra, theta: Matrix, k: int) -> CheckReport:
@@ -98,33 +110,14 @@ def compute_derivations(a: HomNambuAlgebra, k: int) -> SubspaceBasis:
     """Maps D with D([x_1..x_n]) = sum_i [alpha^k x_1, ..., D x_i, ...,
     alpha^k x_n] that commute with the twist, as a canonical matrix basis."""
     d, n = a.dim, a.arity
-    pw = _twist_power(a, k)
-    patterns = [a.bracket.transform([pw if j != i else None for j in range(n)])
-                for i in range(n)]
-    rows: List[List[Fraction]] = []
-    seen = set()
-    for t in all_tuples(d, n):
-        cv = a.bracket.value(t)
-        for r in range(d):
-            row = [Fraction(0)] * (d * d)
-            for s in range(d):
-                row[r * d + s] += cv[s]
-            for i in range(n):
-                for j in range(d):
-                    row[j * d + t[i]] -= patterns[i].value(t[:i] + (j,) + t[i + 1:])[r]
-            key = tuple(row)
-            if any(row) and key not in seen:
-                seen.add(key)
-                rows.append(row)
     alpha = a.twist
-    for u in range(d):
-        for v in range(d):
-            row = [Fraction(0)] * (d * d)
-            for s in range(d):
-                row[u * d + s] += alpha[s, v]
-                row[s * d + v] -= alpha[u, s]
-            if any(row):
-                rows.append(row)
+    pw = _twist_power(a, k)
+    patterns = [(i, a.bracket.transform([pw if j != i else None for j in range(n)]))
+                for i in range(n)]
+    rows = _assemble(d, d, a.bracket, patterns)
+    # D alpha = alpha D: the same equations for the unary "bracket" alpha
+    unary = BracketTensor(d, 1, {(v,): alpha.col(v) for v in range(d)})
+    rows += _assemble(d, d, unary, [(0, unary)])
     return _matrix_nullspace_basis(rows, d)
 
 
@@ -172,18 +165,8 @@ def inner_derivation(a: HomNambuAlgebra, x: Sequence[Vector], k: int) -> Matrix:
 
 def compute_center(a: HomNambuAlgebra) -> SubspaceBasis:
     """Vectors z with [z, x_2, ..., x_n] = 0 for all basis choices."""
-    d, n = a.dim, a.arity
-    rows: List[List[Fraction]] = []
-    for t in all_tuples(d, n - 1):
-        for r in range(d):
-            row = [a.bracket.value((i,) + t)[r] for i in range(d)]
-            if any(row):
-                rows.append(row)
-    if rows:
-        sols = nullspace(Matrix.from_rows(rows))
-    else:
-        sols = [Vector.basis(d, i) for i in range(d)]
-    return SubspaceBasis("vector", d, tuple(sols))
+    rows = _assemble(a.dim, 1, None, [(0, a.bracket)])
+    return SubspaceBasis("vector", a.dim, tuple(nullspace(SparseMatrix(a.dim, rows))))
 
 
 def _derived_span(a: HomNambuAlgebra) -> List[Vector]:
@@ -200,26 +183,17 @@ def compute_central_derivations(a: HomNambuAlgebra) -> SubspaceBasis:
     d = a.dim
     center = compute_center(a)
     derived = _derived_span(a)
-    rows: List[List[Fraction]] = []
+    rows: List[Dict[int, Fraction]] = []
     # image in the center: w . (phi e_j) = 0 for w spanning the annihilator
     if center.dimension < d:
-        if center.basis:
-            zb = Matrix.from_rows([list(v.entries) for v in center.basis])
-            annihilator = nullspace(zb)
-        else:
-            annihilator = [Vector.basis(d, i) for i in range(d)]
+        annihilator = nullspace(SparseMatrix(d, [{s: x for s, x in enumerate(v) if x}
+                                                 for v in center.basis]))
         for w in annihilator:
             for j in range(d):
-                row = [Fraction(0)] * (d * d)
-                for s in range(d):
-                    row[s * d + j] = w[s]
-                rows.append(row)
+                rows.append({s * d + j: x for s, x in enumerate(w) if x})
     for u in derived:
         for r in range(d):
-            row = [Fraction(0)] * (d * d)
-            for s in range(d):
-                row[r * d + s] = u[s]
-            rows.append(row)
+            rows.append({r * d + s: x for s, x in enumerate(u) if x})
     return _matrix_nullspace_basis(rows, d)
 
 
@@ -321,13 +295,7 @@ def assoc_centroid_membership(h: HomAssocNAry, f: Matrix, k: int) -> CheckReport
     """Centroid equations for an n-ary multiplication: f(mu(x_1..x_n)) =
     mu(f x_1, eta^k x_2, ..., eta^k x_n)."""
     d, n = h.dim, h.arity
-    if k == -1:
-        pw = Matrix.zero(d, d)
-    elif k == 0:
-        pw = Matrix.identity(d)
-    else:
-        common = h.twists[0]
-        pw = common.power(k)
+    pw = _twist_power(h, k)
     pattern = h.mu.transform([f] + [pw] * (n - 1))
     count = 0
     for t in all_tuples(d, n):

@@ -51,6 +51,19 @@ def zero_algebra(d, n):
                            skew=True, multiplicative=True)
 
 
+def filippov(d):
+    """Filippov's simple d-dimensional (d-1)-Lie algebra A_d in closed form:
+    [e_1, .., ^e_i, .., e_d] = (-1)^(d+i) e_i, identity twists."""
+    items = {}
+    for omit in range(d):
+        out = [F(0)] * d
+        out[omit] = F((-1) ** (d + omit + 1))
+        items[tuple(i for i in range(d) if i != omit)] = Vector(out)
+    return HomNambuAlgebra(d, d - 1, BracketTensor(d, d - 1, items, skew_storage=True),
+                           (Matrix.identity(d),) * (d - 2),
+                           skew=True, multiplicative=True)
+
+
 @pytest.fixture(scope="session")
 def sum5(s4):
     """(1-dim trivial) + (4-dim simple 3-Lie), the trivial summand last."""

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nambucat import (BilinearForm, BracketTensor, HomNambuAlgebra, Matrix,
-                      Vector, corpus, eval_bracket)
+from nambucat import (BilinearForm, BracketTensor, HomAssocNAry, HomNambuAlgebra,
+                      Matrix, Vector, corpus, eval_bracket)
 from nambucat.algebra import (adjoint_of_basis_tuple, adjoint_operator,
                               all_tuples, increasing_tuples, perm_sign)
 
@@ -51,6 +51,10 @@ def test_skew_from_entries_expansion(s4):
     assert b.value((0, 1, 2)) == Vector.basis(4, 3)
     assert b.value((1, 0, 2)) == -Vector.basis(4, 3)
     assert b.value((0, 0, 2)).is_zero()
+    # absent tuples share one immutable zero vector instead of allocating
+    assert b.value((0, 0, 2)) is b.value((1, 1, 3))
+    dense = b.transform([None] * 3)
+    assert dense.value((0, 0, 2)) is dense.value((1, 1, 3)) == Vector.zero(4)
 
 
 def test_skew_from_entries_inconsistent():
@@ -96,6 +100,10 @@ def test_bilinear_form():
 def test_twist_property_requires_equal_twists(ex2):
     with pytest.raises(ValueError):
         ex2.algebra.twist
+    twists = (Matrix.identity(2), Matrix.diagonal([1, 2]))
+    h = HomAssocNAry(2, 3, BracketTensor.zero(2, 3), twists)
+    with pytest.raises(ValueError, match="twists differ"):
+        h.twist
 
 
 @settings(max_examples=25, deadline=None)

@@ -246,6 +246,12 @@ def test_solve_derivations_text(capsys):
     assert "dimension 6" in out
 
 
+def test_solve_derivations_distinct_twists(capsys):
+    code, out, err = run(capsys, "solve", cp("example2"), "derivations", "0")
+    assert code == 1 and out == ""
+    assert err == "error: twists differ\n"
+
+
 def test_solve_center(capsys):
     code, out, _ = run(capsys, "solve", cp("heisenberg3"), "center")
     assert code == 0

@@ -114,6 +114,9 @@ def test_out_of_range_index_rejected():
     doc["bracket"][0]["inputs"] = [0, 1, 2]  # indices are 1-based
     with pytest.raises(FileFormatError):
         fileio.from_document(doc)
+    doc["bracket"][0]["inputs"] = [True, 2, 3]  # JSON true is not index 1
+    with pytest.raises(FileFormatError):
+        fileio.from_document(doc)
 
 
 def test_duplicate_entry_rejected():
@@ -165,4 +168,19 @@ def test_representation_document_kind(s4):
     assert doc["kind"] == "representation"
     doc["target_dim"] = 5
     with pytest.raises((FileFormatError, ValueError)):
+        fileio.representation_from_document(doc)
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda d: d.pop("nu"),
+    lambda d: d["rho"][0].pop("inputs"),
+    lambda d: d["rho"][0].update(inputs=[True, 2]),
+    lambda d: d.update(rho={}),
+])
+def test_malformed_representation_fails_closed(s4, mutate):
+    from nambucat.representations import adjoint_rep
+    doc = fileio.representation_to_document(adjoint_rep(s4.algebra))
+    fileio.representation_from_document(doc)
+    mutate(doc)
+    with pytest.raises(FileFormatError):
         fileio.representation_from_document(doc)

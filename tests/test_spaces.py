@@ -110,6 +110,14 @@ def test_derivations_commutant_constraint():
         assert m[0, 1] == 0 and m[1, 0] == 0
 
 
+def test_derivations_reject_distinct_twists_before_assembly(ex2, monkeypatch):
+    def no_transform(*args, **kwargs):
+        raise AssertionError("assembled equations for distinct twists")
+    monkeypatch.setattr(BracketTensor, "transform", no_transform)
+    with pytest.raises(ValueError, match="twists differ"):
+        compute_derivations(ex2.algebra, 0)
+
+
 def test_derivations_cross_validated(s4):
     a = s4.algebra
     for D in compute_derivations(a, 0).basis:
