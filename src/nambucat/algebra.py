@@ -156,21 +156,26 @@ class BracketTensor:
         """Tensor of (args) -> out_map(bracket(M_1 a_1, ..., M_n a_n)).
 
         ``slot_maps[k]`` is the linear map applied to argument k (None for
-        identity). The result is a dense-storage tensor whose value on a basis
-        tuple j is the bracket evaluated on the mapped basis vectors.
+        identity). Slot maps are ``dim x d'`` with one shared ``d'``, and the
+        result is a dense-storage tensor on ``d'``-dimensional arguments whose
+        value on a basis tuple j is the bracket evaluated on the mapped basis
+        vectors. Identity maps are skipped like None.
         """
         if len(slot_maps) != self.arity:
             raise ValueError("need one map per slot")
+        maps = [None if m is None or _is_identity(m, self.dim) else m for m in slot_maps]
+        widths = {self.dim if m is None else m.cols for m in maps}
+        if len(widths) > 1 or any(m is not None and m.rows != self.dim for m in maps):
+            raise ValueError("slot map has wrong shape")
+        (width,) = widths
         items = dict(self.dense_items())
-        for k, m in enumerate(slot_maps):
+        for k, m in enumerate(maps):
             if m is None:
                 continue
-            if m.rows != m.cols or m.rows != self.dim:
-                raise ValueError("slot map has wrong shape")
             nxt: Dict[Tuple[int, ...], list] = {}
             for idx, vec in items.items():
                 i = idx[k]
-                for j in range(self.dim):
+                for j in range(width):
                     c = m[i, j]
                     if c == 0:
                         continue
@@ -183,12 +188,11 @@ class BracketTensor:
                         if x:
                             acc[r] += c * x
             items = {key: Vector(v) for key, v in nxt.items()}
-        if out_map is not None:
+        vdim = self.vdim
+        if out_map is not None and not _is_identity(out_map, vdim):
             items = {key: out_map.apply(vec) for key, vec in items.items()}
             vdim = out_map.rows
-        else:
-            vdim = self.vdim
-        return BracketTensor(self.dim, self.arity, items, vdim=vdim)
+        return BracketTensor(width, self.arity, items, vdim=vdim)
 
     def skew_canonical(self) -> "BracketTensor":
         """Re-store a (verified skew) tensor with increasing-tuple storage."""
@@ -209,6 +213,10 @@ class BracketTensor:
     def __repr__(self) -> str:
         return (f"BracketTensor(dim={self.dim}, arity={self.arity}, "
                 f"nnz={len(self.coeffs)}, skew_storage={self.skew_storage})")
+
+
+def _is_identity(m: Matrix, n: int) -> bool:
+    return m.rows == m.cols == n and m == Matrix.identity(n)
 
 
 def _common_twist(twists: Tuple[Matrix, ...]) -> Matrix:

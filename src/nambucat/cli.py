@@ -2,8 +2,7 @@
 
 Exit codes: 0 all checks passed, 1 mathematical failure (failed identity,
 failed construction hypothesis, false flag claim), 2 usage or parse error.
-All output is deterministic; --parallel is accepted for compatibility but
-evaluation is sequential (ordering is identical either way).
+All output is deterministic.
 """
 
 from __future__ import annotations
@@ -301,9 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "text"),
                         default=argparse.SUPPRESS, help="report output format")
-    common.add_argument("--parallel", type=int, metavar="N",
-                        default=argparse.SUPPRESS,
-                        help="worker count (accepted; evaluation is sequential)")
     common.add_argument("--max-tuples", type=int, metavar="N",
                         default=argparse.SUPPRESS,
                         help="abort any single check needing more than N basis tuples")
@@ -364,15 +360,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     # the shared flags may arrive before or after the subcommand; fall back
     # to the documented defaults when neither position supplied them
-    for dest, default in (("format", "json"), ("parallel", 1),
-                          ("max_tuples", None)):
+    for dest, default in (("format", "json"), ("max_tuples", None)):
         if not hasattr(args, dest):
             setattr(args, dest, default)
     if args.command is None:
         parser.print_usage(sys.stderr)
-        return 2
-    if args.parallel < 1:
-        sys.stderr.write("error: --parallel must be at least 1\n")
         return 2
     try:
         return args.func(args)

@@ -11,9 +11,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .algebra import (BracketTensor, HomAssocNAry, HomLeibnizAlgebra,
-                      HomNambuAlgebra, all_tuples)
-from .checks import CheckReport, Counterexample, check_hom_leibniz, check_skew_symmetry
+from .algebra import BracketTensor, HomAssocNAry, HomLeibnizAlgebra, HomNambuAlgebra
+from .checks import CheckReport, _compare, check_hom_leibniz, check_skew_symmetry
 from .linalg import Matrix, SparseMatrix, Vector, in_span, nullspace
 
 
@@ -90,20 +89,18 @@ def compute_centroid(a: HomNambuAlgebra, k: int) -> SubspaceBasis:
     return _matrix_nullspace_basis(_assemble(d, d, a.bracket, [(0, pattern)]), d)
 
 
+def _centroid_report(identity: str, bracket: BracketTensor, f: Matrix,
+                     pw: Matrix) -> CheckReport:
+    """f([x_1..x_n]) against [f x_1, pw x_2, ..., pw x_n] on basis tuples."""
+    n = bracket.arity
+    return _compare(identity, bracket.dim, n,
+                    bracket.transform([None] * n, out_map=f),
+                    bracket.transform([f] + [pw] * (n - 1)))
+
+
 def centroid_membership(a: HomNambuAlgebra, theta: Matrix, k: int) -> CheckReport:
     """Direct check of the centroid equations for one candidate map."""
-    d, n = a.dim, a.arity
-    pw = _twist_power(a, k)
-    pattern = a.bracket.transform([theta] + [pw] * (n - 1))
-    count = 0
-    for t in all_tuples(d, n):
-        count += 1
-        left = theta.apply(a.bracket.value(t))
-        right = pattern.value(t)
-        if left != right:
-            return CheckReport("centroid_membership", False,
-                               Counterexample(t, left, right), count)
-    return CheckReport("centroid_membership", True, None, count)
+    return _centroid_report("centroid_membership", a.bracket, theta, _twist_power(a, k))
 
 
 def compute_derivations(a: HomNambuAlgebra, k: int) -> SubspaceBasis:
@@ -130,19 +127,14 @@ def derivation_membership(a: HomNambuAlgebra, big_d: Matrix, k: int) -> CheckRep
         return CheckReport("derivation_membership", False, None, 0,
                            detail="candidate does not commute with the twist")
     pw = _twist_power(a, k)
-    patterns = [a.bracket.transform(
-        [pw if j != i else big_d for j in range(n)]) for i in range(n)]
-    count = 0
-    for t in all_tuples(d, n):
-        count += 1
-        left = big_d.apply(a.bracket.value(t))
-        right = Vector.zero(d)
-        for p in patterns:
-            right = right + p.value(t)
-        if left != right:
-            return CheckReport("derivation_membership", False,
-                               Counterexample(t, left, right), count)
-    return CheckReport("derivation_membership", True, None, count)
+    right: Dict[Tuple[int, ...], Vector] = {}
+    for i in range(n):
+        pattern = a.bracket.transform([pw if j != i else big_d for j in range(n)])
+        for t, v in pattern.coeffs.items():
+            right[t] = right[t] + v if t in right else v
+    return _compare("derivation_membership", d, n,
+                    a.bracket.transform([None] * n, out_map=big_d),
+                    BracketTensor(d, n, right))     # drops terms that cancelled
 
 
 def inner_derivation(a: HomNambuAlgebra, x: Sequence[Vector], k: int) -> Matrix:
@@ -294,18 +286,7 @@ def varsigma_hom_lie(a: HomNambuAlgebra,
 def assoc_centroid_membership(h: HomAssocNAry, f: Matrix, k: int) -> CheckReport:
     """Centroid equations for an n-ary multiplication: f(mu(x_1..x_n)) =
     mu(f x_1, eta^k x_2, ..., eta^k x_n)."""
-    d, n = h.dim, h.arity
-    pw = _twist_power(h, k)
-    pattern = h.mu.transform([f] + [pw] * (n - 1))
-    count = 0
-    for t in all_tuples(d, n):
-        count += 1
-        left = f.apply(h.mu.value(t))
-        right = pattern.value(t)
-        if left != right:
-            return CheckReport("assoc_centroid_membership", False,
-                               Counterexample(t, left, right), count)
-    return CheckReport("assoc_centroid_membership", True, None, count)
+    return _centroid_report("assoc_centroid_membership", h.mu, f, _twist_power(h, k))
 
 
 def tensor_centroid_derivation(h: HomAssocNAry, a: HomNambuAlgebra,

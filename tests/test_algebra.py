@@ -79,6 +79,21 @@ def test_transform_matches_naive(ex1):
         assert t.value(idx) == alpha.apply(a.bracket.eval(args))
 
 
+def test_transform_identity_maps_and_rectangular_slots(s4):
+    b = s4.algebra.bracket
+    ident = Matrix.identity(4)
+    assert b.transform([ident] * 3, out_map=ident) == b.transform([None] * 3) == b
+    # slot maps dim x d' give a tensor on d'-dimensional arguments
+    f = Matrix(4, 2, [1, 0, 0, 1, 1, 1, 0, 2])
+    t = b.transform([f] * 3)
+    assert (t.dim, t.arity, t.vdim) == (2, 3, 4)
+    for idx in all_tuples(2, 3):
+        assert t.value(idx) == b.eval([f.col(i) for i in idx])
+    for maps in ([f, None, f], [f, f, Matrix(4, 3, [0] * 12)], [Matrix.identity(3)] * 3):
+        with pytest.raises(ValueError, match="slot map has wrong shape"):
+            b.transform(maps)
+
+
 def test_adjoint_operator(s4):
     a = s4.algebra
     L = adjoint_of_basis_tuple(a, (0, 1))

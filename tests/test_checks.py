@@ -118,6 +118,17 @@ def test_morphism(s4):
     assert not check_morphism(a, a, Matrix.diagonal([F(2), F(1), F(1), F(1)])).passed
 
 
+def test_morphism_rectangular_embedding(s4, sum5):
+    # e_i -> e_i embeds the simple 3-Lie algebra as the summand of sum5
+    f = Matrix(5, 4, [1 if i == j else 0 for i in range(5) for j in range(4)])
+    r = check_morphism(s4.algebra, sum5, f)
+    assert r.passed and r.tuples_checked == 4 ** 3
+    bad = check_morphism(s4.algebra, sum5, f.scale(2))
+    assert not bad.passed
+    ce = bad.counterexample
+    assert ce.left == ce.right.scale(F(1, 4)) != ce.right   # 2[x,y,z] vs [2x,2y,2z]
+
+
 def test_morphism_twist_intertwining(ex1):
     a = ex1.algebra
     # identity does not intertwine alpha with alpha unless it commutes; here

@@ -117,11 +117,11 @@ def test_max_tuples_budget(capsys):
     assert code == 1
 
 
-def test_parallel_accepted_and_validated(capsys):
-    code, out, _ = run(capsys, "--parallel", "4", "verify", cp("zero2"))
-    assert code == 0
-    code, _, err = run(capsys, "--parallel", "0", "verify", cp("zero2"))
+def test_parallel_is_a_usage_error(capsys):
+    # evaluation is sequential; there is no worker-count option
+    code, out, err = run(capsys, "--parallel", "4", "verify", cp("zero2"))
     assert code == 2
+    assert out == "" and "error" in err
 
 
 def test_deterministic_output(capsys):
