@@ -129,27 +129,58 @@ class BracketTensor:
         return self._dense
 
     def eval(self, args: Sequence[Vector]) -> Vector:
-        """Multilinear extension: sum over index tuples of coordinate products."""
+        """Multilinear extension: the arguments substituted slot by slot
+        (``substitute`` rejects an argument of the wrong dimension)."""
         if len(args) != self.arity:
             raise ValueError("arity mismatch")
-        for v in args:
-            if v.dim != self.dim:
-                raise ValueError("dimension mismatch")
-        acc = [Fraction(0)] * self.vdim
+        return self.fix(args).value(())
+
+    @classmethod
+    def constant(cls, v: Vector) -> "BracketTensor":
+        """A fixed vector as an arity-0 tensor (its one key is ``()``)."""
+        return cls(v.dim, 0, {(): v})
+
+    def fix(self, vectors: Sequence[Vector]) -> "BracketTensor":
+        """The tensor with ``vectors`` substituted into its leading slots."""
+        out = self
+        for v in vectors:
+            out = out.substitute(0, BracketTensor.constant(v))
+        return out
+
+    def substitute(self, slot: int, inner: "BracketTensor") -> "BracketTensor":
+        """Tensor of A(a_0..a_{slot-1}, inner(b_0..b_{m-1}), a_{slot+1}..), of
+        arity n+m-1 with this tensor's ``vdim``; ``inner`` maps into the
+        argument space, and an arity-0 ``inner`` is a fixed vector.
+
+        Built from nonzero entries only: the outer entries are grouped by
+        their slot index, and each nonzero coordinate of each inner entry adds
+        one scaled outer entry per group member.  Entries that cancel are
+        dropped.
+        """
+        if not 0 <= slot < self.arity:
+            raise ValueError(f"no slot {slot} in an arity-{self.arity} tensor")
+        if inner.vdim != self.dim or (inner.arity and inner.dim != self.dim):
+            raise ValueError("dimension mismatch")
+        outer: Dict[int, list] = {}
         for idx, vec in self.dense_items():
-            c = Fraction(1)
-            for k, i in enumerate(idx):
-                a = args[k].entries[i]
-                if a == 0:
-                    c = None
-                    break
-                c *= a
-            if c is None:
-                continue
-            for r, x in enumerate(vec.entries):
-                if x:
-                    acc[r] += c * x
-        return Vector(acc)
+            outer.setdefault(idx[slot], []).append(
+                (idx[:slot], idx[slot + 1:], vec.entries))
+        acc: Dict[Tuple[int, ...], List[Fraction]] = {}
+        for t, w in inner.dense_items():
+            for j, c in enumerate(w.entries):
+                if not c:
+                    continue
+                for head, tail, vals in outer.get(j, ()):
+                    key = head + t + tail
+                    row = acc.get(key)
+                    if row is None:
+                        row = acc[key] = [Fraction(0)] * self.vdim
+                    for r, x in enumerate(vals):
+                        if x:
+                            row[r] += c * x
+        return BracketTensor(self.dim, self.arity + inner.arity - 1,
+                             {key: Vector(row) for key, row in acc.items()},
+                             vdim=self.vdim)
 
     def transform(self, slot_maps: Sequence[Optional[Matrix]],
                   out_map: Optional[Matrix] = None) -> "BracketTensor":
@@ -355,8 +386,8 @@ def adjoint_operator(a: HomNambuAlgebra, x: Sequence[Vector]) -> Matrix:
     """Matrix of y -> [x_1, ..., x_{n-1}, y] in the coordinate basis."""
     if len(x) != a.arity - 1:
         raise ValueError("need n-1 arguments")
-    cols = [a.bracket.eval(list(x) + [Vector.basis(a.dim, j)]) for j in range(a.dim)]
-    return Matrix.from_columns(cols)
+    op = a.bracket.fix(x)
+    return Matrix.from_columns([op.value((j,)) for j in range(a.dim)])
 
 
 def adjoint_of_basis_tuple(a: HomNambuAlgebra, idx: Tuple[int, ...]) -> Matrix:

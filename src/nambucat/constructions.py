@@ -391,17 +391,7 @@ def raise_arity(q: QuadraticStructure, k: int,
         new_arity = 2 * arity - 1
         if d ** new_arity > _RAISE_SIZE_LIMIT:
             raise ConstructionError("raised bracket tensor would be too large")
-        pattern = C.transform([None] + [alpha_pow] * (arity - 1))
-        items: Dict[Tuple[int, ...], Vector] = {}
-        for t in all_tuples(d, new_arity):
-            inner = C.value(t[:arity])
-            acc = Vector.zero(d)
-            for j, cj in enumerate(inner.entries):
-                if cj:
-                    acc = acc + pattern.value((j,) + t[arity:]).scale(cj)
-            if not acc.is_zero():
-                items[t] = acc
-        C = BracketTensor(d, new_arity, items)
+        C = C.transform([None] + [alpha_pow] * (arity - 1)).substitute(0, C)
         beta = beta @ alpha_pow
         alpha_pow = alpha_pow @ alpha_pow
         arity = new_arity
@@ -427,23 +417,15 @@ def reduce_arity(q: QuadraticStructure, fixed: Sequence[Vector],
     for j, v in enumerate(fixed):
         if a.twists[j].apply(v) != v:
             raise ConstructionError(f"twist {j + 1} does not fix the fixed vector {j + 1}")
-        lead = list(fixed[:j + 1])
-        for t in all_tuples(d, n - 2 - j):
-            args = lead + [Vector.basis(d, i) for i in t] + [fixed[j]]
-            val = C.eval(args)
-            if not val.is_zero():
-                raise ConstructionError(
-                    f"annihilation hypothesis fails for fixed vector {j + 1} at tuple "
-                    f"{tuple(i + 1 for i in t)}")
+        # [fixed_1..fixed_{j+1}, e_t, fixed_{j+1}] = 0 for every basis tuple t
+        vals = C.substitute(n - 1, BracketTensor.constant(v)).fix(fixed[:j + 1])
+        if vals.coeffs:
+            t = min(vals.coeffs)
+            raise ConstructionError(
+                f"annihilation hypothesis fails for fixed vector {j + 1} at tuple "
+                f"{tuple(i + 1 for i in t)}")
 
-    items: Dict[Tuple[int, ...], Vector] = {}
-    lead = list(fixed)
-    for t in all_tuples(d, n - k):
-        v = C.eval(lead + [Vector.basis(d, i) for i in t])
-        if not v.is_zero():
-            items[t] = v
-    out = HomNambuAlgebra(d, n - k, BracketTensor(d, n - k, items),
-                          tuple(a.twists[k:]))
+    out = HomNambuAlgebra(d, n - k, C.fix(fixed), tuple(a.twists[k:]))
     out = _verified_flags(out)
     struct = QuadraticStructure(out, q.form, beta=q.beta)
     if verify:

@@ -1,10 +1,10 @@
 """Exact rational linear algebra: vectors, matrices, nullspaces, ranks, determinants.
 
-Everything is built on ``fractions.Fraction`` (the nullspace elimination
-works on rows scaled to Python integers), so all results are exact; no
-operation ever rounds. Solution-space bases are returned in reduced
-echelon normal form, which makes them canonical: two calls on equal
-matrices return identical bases.
+Everything is built on ``fractions.Fraction``, and one elimination routine
+(``_echelon``, on rows scaled to Python integers) serves RREF, rank,
+solving and nullspaces, so all results are exact; no operation ever rounds.
+Solution-space bases are returned in reduced echelon normal form, which
+makes them canonical: two calls on equal matrices return identical bases.
 """
 
 from __future__ import annotations
@@ -262,48 +262,6 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
     return Matrix(a.rows * b.rows, a.cols * b.cols, out)
 
 
-def _rref(rows: list) -> tuple:
-    """In-place reduced row echelon form; returns (rows, pivot column list)."""
-    if not rows:
-        return rows, []
-    ncols = len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, len(rows)):
-            if rows[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        p = rows[r][c]
-        if p != 1:
-            rows[r] = [x / p for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows, pivots
-
-
-def rref(m: Matrix) -> tuple:
-    """Reduced row echelon form of m; returns (Matrix, pivot columns)."""
-    rows, pivots = _rref(m.row_list())
-    return Matrix.from_rows(rows) if rows else m, pivots
-
-
-def rank(m: Matrix) -> int:
-    """Exact rank."""
-    _, pivots = _rref(m.row_list())
-    return len(pivots)
-
-
 class SparseMatrix:
     """Rows of a linear system as {column: value} dicts; absent entries are zero."""
 
@@ -381,6 +339,43 @@ def _echelon(rows: Iterable[dict], ncols: int) -> dict:
     return pivots
 
 
+def _reduced_rows(pivots: dict, ncols: int) -> list:
+    """The rows of an ``_echelon`` result sorted by pivot and divided by their
+    pivot entries: the reduced row echelon form, as lists of Fractions."""
+    out = []
+    for p in sorted(pivots):
+        row = pivots[p]
+        v = [Fraction(0)] * ncols
+        for j, x in row.items():
+            v[j] = Fraction(x, row[p])
+        out.append(v)
+    return out
+
+
+def _rref(rows: list) -> tuple:
+    """Reduced row echelon form of a list of rows, zero rows at the bottom;
+    returns (new rows, pivot column list)."""
+    if not rows:
+        return rows, []
+    ncols = len(rows[0])
+    pivots = _echelon((dict(enumerate(row)) for row in rows), ncols)
+    out = _reduced_rows(pivots, ncols)
+    out += [[Fraction(0)] * ncols for _ in range(len(rows) - len(out))]
+    return out, sorted(pivots)
+
+
+def rref(m: Matrix) -> tuple:
+    """Reduced row echelon form of m; returns (Matrix, pivot columns)."""
+    rows, pivots = _rref(m.row_list())
+    return Matrix.from_rows(rows) if rows else m, pivots
+
+
+def rank(m: Matrix) -> int:
+    """Exact rank."""
+    _, pivots = _rref(m.row_list())
+    return len(pivots)
+
+
 def nullspace(m) -> list:
     """Exact basis of {v : m v = 0}, canonicalized to echelon normal form.
 
@@ -398,15 +393,7 @@ def nullspace(m) -> list:
             if f != p:
                 basis[f][p] = Fraction(-x, row[p])
     # canonicalize representatives: echelon-reduce the basis itself
-    reduced = _echelon(basis.values(), n)
-    out = []
-    for p in sorted(reduced):
-        row, lead = reduced[p], reduced[p][p]
-        v = [Fraction(0)] * n
-        for j, x in row.items():
-            v[j] = Fraction(x, lead)
-        out.append(Vector(v))
-    return out
+    return [Vector(v) for v in _reduced_rows(_echelon(basis.values(), n), n)]
 
 
 def det(m: Matrix) -> Fraction:

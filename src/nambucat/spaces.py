@@ -11,7 +11,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .algebra import BracketTensor, HomAssocNAry, HomLeibnizAlgebra, HomNambuAlgebra
+from .algebra import (BracketTensor, HomAssocNAry, HomLeibnizAlgebra, HomNambuAlgebra,
+                      adjoint_operator)
 from .checks import CheckReport, _compare, check_hom_leibniz, check_skew_symmetry
 from .linalg import Matrix, SparseMatrix, Vector, in_span, nullspace
 
@@ -146,9 +147,7 @@ def inner_derivation(a: HomNambuAlgebra, x: Sequence[Vector], k: int) -> Matrix:
     for i, v in enumerate(x):
         if alpha.apply(v) != v:
             raise ValueError(f"twist does not fix argument {i + 1}")
-    pw = _twist_power(a, k)
-    cols = [a.bracket.eval(list(x) + [pw.col(j)]) for j in range(a.dim)]
-    m = Matrix.from_columns(cols)
+    m = adjoint_operator(a, x) @ _twist_power(a, k)
     report = derivation_membership(a, m, k + 1)
     if not report.passed:
         raise ValueError(f"inner map is not a derivation: {report.detail or report.counterexample}")

@@ -1,16 +1,78 @@
 """Reference solver for the structure spaces: the dense assembly and the
-dense Gauss-Jordan nullspace that ``nambucat.spaces`` and
-``nambucat.linalg.nullspace`` used before they became sparse and
-incremental.  Every unknown gets its own ``pattern.value`` lookup, and every
-row is a dense list of Fractions.  Tests compare the library against it.
+dense Gauss-Jordan elimination that ``nambucat.spaces`` and
+``nambucat.linalg`` used before they became sparse and incremental.  Every
+unknown gets its own ``pattern.value`` lookup, and every row is a dense list
+of Fractions.  Tests compare the library against it.
 """
 
 from fractions import Fraction
-from typing import List
+from typing import List, Optional
 
 from nambucat.algebra import all_tuples
-from nambucat.linalg import Matrix, Vector, _rref, rref
+from nambucat.linalg import Matrix, Vector
 from nambucat.spaces import SubspaceBasis, _twist_power
+
+
+def _rref(rows: list) -> tuple:
+    """In-place reduced row echelon form; returns (rows, pivot column list)."""
+    if not rows:
+        return rows, []
+    ncols = len(rows[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = None
+        for i in range(r, len(rows)):
+            if rows[i][c] != 0:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        p = rows[r][c]
+        if p != 1:
+            rows[r] = [x / p for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows, pivots
+
+
+def rref(m: Matrix) -> tuple:
+    rows, pivots = _rref(m.row_list())
+    return Matrix.from_rows(rows) if rows else m, pivots
+
+
+def rank(m: Matrix) -> int:
+    return len(_rref(m.row_list())[1])
+
+
+def solve(m: Matrix, b: Vector) -> Optional[Vector]:
+    if b.dim != m.rows:
+        raise ValueError("dimension mismatch")
+    n = m.cols
+    aug = [list(row) + [b[i]] for i, row in enumerate(m.row_list())]
+    rows, pivots = _rref(aug)
+    for r in range(len(pivots), len(rows)):
+        if rows[r][n] != 0:
+            return None
+    x = [Fraction(0)] * n
+    for r, p in enumerate(pivots):
+        if p == n:
+            return None
+        x[p] = rows[r][n]
+    return Vector(x)
+
+
+def in_span(basis, v: Vector) -> Optional[Vector]:
+    if not basis:
+        return Vector([]) if v.is_zero() else None
+    return solve(Matrix.from_columns(list(basis)), v)
 
 
 def dense_nullspace(m: Matrix) -> list:

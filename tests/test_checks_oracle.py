@@ -3,6 +3,7 @@
 counterexample, detail and tuples_checked), and a check that raises must
 raise the same error."""
 
+import itertools
 import re
 from fractions import Fraction as F
 
@@ -187,3 +188,21 @@ def test_perturbed_products_match_oracle(case):
     base, mu, f = case
     h = HomAssocNAry(base.dim, base.arity, mu, base.twists)
     _compare_assoc(h, [Matrix.identity(h.dim), f])
+
+
+def test_product_perturbations_reach_every_failure(dualnum):
+    """Perturbing dualnumbers3 at one tuple, or at every ordering of it so
+    that the product stays symmetric, reaches the symmetry failure and each
+    pair of consecutive association orders; every report matches."""
+    details = set()
+    for t in itertools.product(range(2), repeat=3):
+        for delta in (Vector([1, 0]), Vector([0, 1]), Vector([F(-1, 2), 2])):
+            for keys in ({t}, set(itertools.permutations(t))):
+                coeffs = dict(dualnum.mu.dense_items())
+                for s in keys:
+                    coeffs[s] = coeffs.get(s, Vector.zero(2)) + delta
+                h = HomAssocNAry(2, 3, BracketTensor(2, 3, coeffs), dualnum.twists)
+                _same(check_total_hom_associativity, oracle.total_hom_associativity, h)
+                details.add(check_total_hom_associativity(h).detail)
+    assert details == {None, "product not symmetric", "association orders 1 and 2 differ",
+                       "association orders 2 and 3 differ"}

@@ -99,6 +99,21 @@ def test_verify_false_flag_claim(capsys, tmp_path):
     lied.write_text(json.dumps(doc))
     code, _, err = run(capsys, "verify", str(lied))
     assert code == 1
+    # false skew claims fail while the bracket is stored alternating
+    doc = fileio.load_document(cp("example1"))
+    doc["flags"]["skew"] = True
+    repeated = tmp_path / "repeated.json"
+    repeated.write_text(json.dumps(doc))
+    doc = fileio.load_document(cp("simple3lie4"))
+    first = doc["bracket"][0]
+    assert first["inputs"] == [1, 2, 3]
+    doc["bracket"].append({"inputs": [2, 1, 3], "output": first["output"]})
+    inconsistent = tmp_path / "inconsistent.json"
+    inconsistent.write_text(json.dumps(doc))
+    for path, why in ((repeated, "nonzero value on repeated indices (0, 1, 0)"),
+                      (inconsistent, "inconsistent skew data at (0, 1, 2)")):
+        assert run(capsys, "verify", str(path)) == (
+            1, "", f"verification failure: claimed skew flag is inconsistent: {why}\n")
 
 
 def test_verify_inapplicable_selector(capsys):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle_spaces as oracle
 from nambucat.linalg import (Matrix, Vector, det, frac, frac_str, in_span,
                              kron, kron_vec, nullspace, rank, rref, solve,
                              solve_matrix)
@@ -132,3 +133,30 @@ def test_rank_nullity_and_nullspace_members(m):
 @given(square(3), square(3))
 def test_det_multiplicative(a, b):
     assert det(a @ b) == det(a) * det(b)
+
+
+sparse_rationals = st.one_of(st.just(F(0)), st.just(F(0)), st.just(F(0)),
+                             st.fractions(min_value=-9, max_value=9, max_denominator=5))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 6), st.integers(0, 6), st.data())
+def test_elimination_matches_dense_oracle(rows, cols, data):
+    """rank, rref, solve and in_span (one sparse integer elimination) against
+    the dense Gauss-Jordan copy, on mostly-zero matrices with dependent rows."""
+    entries = data.draw(st.lists(sparse_rationals, min_size=rows * cols,
+                                 max_size=rows * cols))
+    m = Matrix(rows, cols, entries)
+    if rows:     # repeat a scaled row so that some rows are dependent
+        i = data.draw(st.integers(0, rows - 1))
+        m = Matrix.from_rows(m.row_list() + [[2 * x for x in m.row(i)]])
+    assert rank(m) == oracle.rank(m)
+    assert rref(m) == oracle.rref(m)
+    b = Vector(data.draw(st.lists(sparse_rationals, min_size=m.rows, max_size=m.rows)))
+    assert solve(m, b) == oracle.solve(m, b)
+    consistent = m.apply(Vector([1] * cols))
+    assert solve(m, consistent) == oracle.solve(m, consistent)
+    basis = [m.row(i) for i in range(m.rows)]
+    w = Vector(data.draw(st.lists(sparse_rationals, min_size=cols, max_size=cols)))
+    for v in (w, Vector.zero(cols), sum(basis, Vector.zero(cols))):
+        assert in_span(basis, v) == oracle.in_span(basis, v)
