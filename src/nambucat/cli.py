@@ -102,7 +102,7 @@ def _emit_reports(path: str, reports: List[CheckReport], fmt: str) -> None:
 
 
 def cmd_verify(args) -> int:
-    obj = fileio.load(args.file)
+    obj = fileio.load(args.file, max_tuples=args.max_tuples)
     selectors = args.selectors or _applicable(obj, defaults=True)
     applicable = _applicable(obj)
     reports = []
@@ -146,7 +146,7 @@ def cmd_construct(args) -> int:
             raise UsageError("tensor needs two input files")
     elif len(inputs) != 1:
         raise UsageError(f"{sub} needs exactly one input file")
-    objs = [fileio.load(p) for p in inputs]
+    objs = [fileio.load(p, max_tuples=args.max_tuples) for p in inputs]
     names = [os.path.basename(p) for p in inputs]
     provenance = f"constructed by '{sub}' from {', '.join(names)}"
 
@@ -184,7 +184,8 @@ def cmd_construct(args) -> int:
         tau = fileio.vector_from_file(args.tau, l.dim)
         out = constructions.trace_induced_ternary(l, gamma, tau)
     elif sub == "raise":
-        out = constructions.raise_arity(_as_quadratic(objs[0], sub), args.k)
+        out = constructions.raise_arity(_as_quadratic(objs[0], sub), args.k,
+                                        max_tuples=args.max_tuples)
     elif sub == "reduce":
         if not args.fixed:
             raise UsageError("reduce needs at least one --fixed vector file")
@@ -228,7 +229,7 @@ def cmd_construct(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    obj = fileio.load(args.file)
+    obj = fileio.load(args.file, max_tuples=args.max_tuples)
     a = _as_nambu(obj.algebra if isinstance(obj, QuadraticLieAlgebra) else obj,
                   "solve")
     if args.space == "centroid":
@@ -254,7 +255,7 @@ def cmd_report(args) -> int:
     rows = []
     for path in args.files:
         try:
-            obj = fileio.load(path)
+            obj = fileio.load(path, max_tuples=args.max_tuples)
             a = obj.algebra if isinstance(obj, (QuadraticStructure, QuadraticLieAlgebra)) \
                 else obj
             checks = [_run_check(obj, s, args.max_tuples)

@@ -43,14 +43,14 @@ def _require(report: CheckReport, what: str) -> CheckReport:
     return report
 
 
-def _verified_flags(a: HomNambuAlgebra,
-                    expect_skew: Optional[bool] = None) -> HomNambuAlgebra:
+def _verified_flags(a: HomNambuAlgebra, expect_skew: Optional[bool] = None,
+                    max_tuples: Optional[int] = None) -> HomNambuAlgebra:
     """Set skew/multiplicative flags from actual verification runs."""
-    skew = check_skew_symmetry(a).passed
+    skew = check_skew_symmetry(a, max_tuples).passed
     if expect_skew is not None and skew != expect_skew:
         raise ConstructionError(f"expected skew={expect_skew}, verification says {skew}")
     mult = (all(t == a.twists[0] for t in a.twists)
-            and check_multiplicativity(a).passed)
+            and check_multiplicativity(a, max_tuples).passed)
     out = a.with_flags(skew=skew, multiplicative=mult)
     if skew and not out.bracket.skew_storage:
         out = HomNambuAlgebra(out.dim, out.arity, out.bracket.skew_canonical(),
@@ -369,11 +369,12 @@ def trace_induced_ternary(l: HomLeibnizAlgebra, gamma: Matrix, tau: Vector,
 _RAISE_SIZE_LIMIT = 1_000_000
 
 
-def raise_arity(q: QuadraticStructure, k: int,
-                verify: bool = True) -> QuadraticStructure:
+def raise_arity(q: QuadraticStructure, k: int, verify: bool = True,
+                max_tuples: Optional[int] = None) -> QuadraticStructure:
     """Iterate the arity-doubling product: each step nests the previous
     bracket inside itself with twisted trailing arguments, squares the twist,
-    and composes the form twist with the current twist power."""
+    and composes the form twist with the current twist power.  The checks on
+    the output honour ``max_tuples``."""
     if k < 0:
         raise ConstructionError("k must be nonnegative")
     if k == 0:
@@ -396,11 +397,11 @@ def raise_arity(q: QuadraticStructure, k: int,
         alpha_pow = alpha_pow @ alpha_pow
         arity = new_arity
     out = HomNambuAlgebra(d, arity, C, (alpha_pow,) * (arity - 1))
-    out = _verified_flags(out)
+    out = _verified_flags(out, max_tuples=max_tuples)
     struct = QuadraticStructure(out, q.form, beta=beta)
     if verify:
-        _require(check_hom_nambu_identity(out), "raised-arity algebra")
-        _require(check_quadratic(struct), "raised-arity quadratic structure")
+        _require(check_hom_nambu_identity(out, max_tuples), "raised-arity algebra")
+        _require(check_quadratic(struct, max_tuples), "raised-arity quadratic structure")
     return struct
 
 

@@ -36,11 +36,11 @@ class QuadraticLieAlgebra:
     def dim(self) -> int:
         return self.algebra.dim
 
-    def validate(self) -> List[CheckReport]:
+    def validate(self, max_tuples: Optional[int] = None) -> List[CheckReport]:
         """Skewness, Jacobi, and invariance reports."""
-        return [check_skew_symmetry(self.algebra),
-                check_hom_nambu_identity(self.algebra),
-                check_quadratic(QuadraticStructure(self.algebra, self.form))]
+        return [check_skew_symmetry(self.algebra, max_tuples),
+                check_hom_nambu_identity(self.algebra, max_tuples),
+                check_quadratic(QuadraticStructure(self.algebra, self.form), max_tuples)]
 
 
 @lru_cache(maxsize=None)

@@ -154,7 +154,8 @@ def dumps_document(doc: dict) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def from_document(doc: dict, verify: bool = True) -> AlgebraLike:
+def from_document(doc: dict, verify: bool = True,
+                  max_tuples: Optional[int] = None) -> AlgebraLike:
     if not isinstance(doc, dict):
         raise FileFormatError("top level must be a JSON object")
     if doc.get("schema_version") != SCHEMA_VERSION:
@@ -205,7 +206,7 @@ def from_document(doc: dict, verify: bool = True) -> AlgebraLike:
     a = HomNambuAlgebra(dim, arity, tensor, twists,
                         skew=claim_skew, multiplicative=claim_mult)
     if verify and claim_mult:
-        r = check_multiplicativity(a)
+        r = check_multiplicativity(a, max_tuples)
         if not r.passed:
             raise FlagVerificationError("claimed multiplicative flag failed verification", r)
     if kind == "quadratic_lie":
@@ -213,7 +214,7 @@ def from_document(doc: dict, verify: bool = True) -> AlgebraLike:
             raise FileFormatError("quadratic_lie requires a form")
         g = QuadraticLieAlgebra(a, form)
         if verify:
-            for r in g.validate():
+            for r in g.validate(max_tuples):
                 if not r.passed:
                     raise FlagVerificationError(
                         f"quadratic Lie algebra failed {r.identity}", r)
@@ -223,12 +224,13 @@ def from_document(doc: dict, verify: bool = True) -> AlgebraLike:
     return a
 
 
-def loads(text: str, verify: bool = True) -> AlgebraLike:
+def loads(text: str, verify: bool = True,
+          max_tuples: Optional[int] = None) -> AlgebraLike:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise FileFormatError(f"invalid JSON: {e}")
-    return from_document(doc, verify=verify)
+    return from_document(doc, verify=verify, max_tuples=max_tuples)
 
 
 def save(obj: AlgebraLike, path, name: Optional[str] = None,
@@ -237,9 +239,10 @@ def save(obj: AlgebraLike, path, name: Optional[str] = None,
         fh.write(dumps(obj, name, provenance))
 
 
-def load(path, verify: bool = True) -> AlgebraLike:
+def load(path, verify: bool = True, max_tuples: Optional[int] = None) -> AlgebraLike:
+    """Read an algebra file; the flag checks it triggers honour ``max_tuples``."""
     with open(path) as fh:
-        return loads(fh.read(), verify=verify)
+        return loads(fh.read(), verify=verify, max_tuples=max_tuples)
 
 
 def load_document(path) -> dict:

@@ -53,7 +53,9 @@ def _assemble(d: int, width: int, lhs: Optional[BracketTensor],
     sum_s lhs(t)_s X[r, s] = sum over (i, P) in patterns of
     sum_j P(t with j in slot i)_r X[j, t_i], where slot i of t ranges over
     range(width); a lhs term needs width = d.  Rows are {column: coefficient}
-    dicts with X[u, s] in column u * width + s; rows that vanish are dropped.
+    dicts with X[u, s] in column u * width + s; rows that vanish and repeats
+    of an earlier row (a skew bracket gives each equation once per ordering
+    of slots with the same map) are dropped.
     """
     rows: Dict[Tuple[Tuple[int, ...], int], Dict[int, Fraction]] = {}
 
@@ -73,7 +75,13 @@ def _assemble(d: int, width: int, lhs: Optional[BracketTensor],
                 if x:
                     for ti in range(width):
                         add(key[:i] + (ti,) + key[i + 1:], r, key[i] * width + ti, -x)
-    return [row for row in rows.values() if any(row.values())]
+    out, seen = [], set()
+    for row in rows.values():
+        key = frozenset((c, x) for c, x in row.items() if x)
+        if key and key not in seen:
+            seen.add(key)
+            out.append(row)
+    return out
 
 
 def _matrix_nullspace_basis(rows: List[Dict[int, Fraction]], d: int) -> SubspaceBasis:

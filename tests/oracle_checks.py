@@ -1,16 +1,19 @@
 """Reference checkers: the tuple-by-tuple loops that ``nambucat.checks`` and
 ``nambucat.spaces`` used for the pointwise identities before these became a
-comparison of two sparse tensors, and the Hom-Leibniz loop from before it
-became the arity-2 fundamental identity.  Every basis tuple gets its own
-``value`` lookups and fresh Vector arithmetic.  Tests compare the library's
-reports against them.
+comparison of two sparse tensors, the Hom-Leibniz loop from before it
+became the arity-2 fundamental identity, and the fundamental-identity and
+quadratic-invariance loops from before their sparse kernels.  Every basis
+tuple gets its own ``value`` lookups and fresh Vector arithmetic.  Tests
+compare the library's reports against them.
 """
 
+from math import comb
 from typing import List, Optional, Tuple
 
-from nambucat.algebra import BracketTensor, all_tuples
-from nambucat.checks import CheckReport, Counterexample, _budget
-from nambucat.linalg import Matrix, Vector
+from nambucat.algebra import (BracketTensor, adjoint_of_basis_tuple, all_tuples,
+                              increasing_tuples)
+from nambucat.checks import CheckReport, Counterexample, _budget, _twist_slots
+from nambucat.linalg import Matrix, Vector, rank
 from nambucat.spaces import _twist_power
 
 
@@ -198,3 +201,71 @@ def derivation_membership(a, big_d: Matrix, k: int) -> CheckReport:
             return CheckReport("derivation_membership", False,
                                Counterexample(t, left, right), count)
     return CheckReport("derivation_membership", True, None, count)
+
+
+def hom_nambu_identity(a, max_tuples=None) -> CheckReport:
+    n, d = a.arity, a.dim
+    C = a.bracket
+    skew = a.skew
+    if skew:
+        count = comb(d, n - 1) * comb(d, n)
+        tuples = increasing_tuples
+    else:
+        count = d ** (n - 1) * d ** n
+        tuples = all_tuples
+    _budget(count, max_tuples)
+    top = C.transform(list(a.twists) + [None])
+    side = [C.transform(_twist_slots(a.twists, n, i)) for i in range(n)]
+    checked = 0
+    for x in tuples(d, n - 1):
+        for y in tuples(d, n):
+            checked += 1
+            w = C.value(y)
+            lhs = Vector.zero(d)
+            for j, wj in enumerate(w.entries):
+                if wj:
+                    lhs = lhs + top.value(x + (j,)).scale(wj)
+            rhs = Vector.zero(d)
+            for i in range(n):
+                v = C.value(x + (y[i],))
+                for j, vj in enumerate(v.entries):
+                    if vj:
+                        rhs = rhs + side[i].value(y[:i] + (j,) + y[i + 1:]).scale(vj)
+            if lhs != rhs:
+                return CheckReport("hom_nambu_identity", False,
+                                   Counterexample(x + y, lhs, rhs), checked)
+    return CheckReport("hom_nambu_identity", True, None, checked)
+
+
+def quadratic(q, max_tuples=None) -> CheckReport:
+    a = q.algebra
+    n, d = a.arity, a.dim
+    G = q.form.gram
+    warnings: List[str] = []
+    checked = 0
+    if not G.is_symmetric():
+        return CheckReport("quadratic", False, None, 0, detail="gram matrix not symmetric")
+    r = rank(G)
+    if r < d:
+        warnings.append(f"form is degenerate: rank {r} < dim {d}")
+    for i, t in enumerate(a.twists):
+        if t.T @ G != G @ t:
+            return CheckReport("quadratic", False, None, checked,
+                               detail=f"form not symmetric with respect to twist {i + 1}",
+                               warnings=tuple(warnings))
+    beta = q.beta if q.beta is not None else Matrix.identity(d)
+    _budget(d ** (n - 1), max_tuples)
+    for x in all_tuples(d, n - 1):
+        checked += 1
+        L = adjoint_of_basis_tuple(a, x)
+        # B(L y, beta z) + B(beta y, L z) = 0  as matrices in (y, z)
+        resid = L.T @ G @ beta + beta.T @ G @ L
+        if not resid.is_zero():
+            yz = next((i, j) for i in range(d) for j in range(d) if resid[i, j] != 0)
+            lv = Vector([(L.T @ G @ beta)[yz]])
+            rv = Vector([-(beta.T @ G @ L)[yz]])
+            return CheckReport("quadratic", False,
+                               Counterexample(x + yz, lv, rv), checked,
+                               detail="invariance identity fails",
+                               warnings=tuple(warnings))
+    return CheckReport("quadratic", True, None, checked, warnings=tuple(warnings))

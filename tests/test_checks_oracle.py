@@ -3,9 +3,12 @@
 counterexample, detail and tuples_checked), and a check that raises must
 raise the same error."""
 
+import functools
 import itertools
 import re
+from dataclasses import replace
 from fractions import Fraction as F
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -15,18 +18,20 @@ import oracle_checks as oracle
 from conftest import filippov
 from nambucat import (BilinearForm, BracketTensor, HomAssocNAry,
                       HomLeibnizAlgebra, HomNambuAlgebra, Matrix,
-                      TupleBudgetExceeded, Vector, corpus)
-from nambucat.checks import (check_hom_leibniz, check_morphism,
-                             check_multiplicativity, check_skew_symmetry,
+                      QuadraticStructure, TupleBudgetExceeded, Vector, corpus)
+from nambucat.checks import (check_hom_leibniz, check_hom_nambu_identity,
+                             check_morphism, check_multiplicativity,
+                             check_quadratic, check_skew_symmetry,
                              check_total_hom_associativity)
-from nambucat.constructions import (induced_hom_leibniz, raise_arity,
-                                    tstar_extension)
-from nambucat.faulkner import faulkner_ternary, tensor_leibniz
+from nambucat.constructions import (induced_hom_leibniz, raise_arity, self_twist,
+                                    tstar_extension, twist_by_morphism)
+from nambucat.faulkner import QuadraticLieAlgebra, faulkner_ternary, tensor_leibniz
 from nambucat.spaces import (assoc_centroid_membership, centroid_membership,
                              compute_centroid, compute_derivations,
                              derivation_membership)
 
 LEVELS = (-1, 0, 1)
+SIGN4 = Matrix.diagonal([1, 1, -1, -1])
 
 
 def _same(new, old, *args):
@@ -58,6 +63,8 @@ def _space_elements(a, limit):
 
 
 def _compare_nambu(a, maps, levels=LEVELS):
+    if a.skew:      # a skew claim runs the sparse kernel; the other loop is the oracle's
+        _same(check_hom_nambu_identity, oracle.hom_nambu_identity, a)
     _same(check_skew_symmetry, oracle.skew_symmetry, a)
     _same(check_multiplicativity, oracle.multiplicativity, a)
     for f in maps:
@@ -77,43 +84,90 @@ def _compare_assoc(h, maps):
             _same(assoc_centroid_membership, oracle.assoc_centroid_membership, h, f, k)
 
 
+def _compare_quadratic(q, betas=()):
+    """The structure as given, then with each beta in its place."""
+    for beta in (q.beta,) + tuple(betas):
+        _same(check_quadratic, oracle.quadratic, replace(q, beta=beta))
+
+
 def _algebra(obj):
     return getattr(obj, "algebra", obj)     # quadratic wrappers hold an algebra
 
 
+def _quadratic(obj):
+    """The quadratic structure an object carries, else the standard form."""
+    if isinstance(obj, QuadraticStructure):
+        return obj
+    if isinstance(obj, QuadraticLieAlgebra):
+        return QuadraticStructure(obj.algebra, obj.form)
+    return QuadraticStructure(obj, BilinearForm.standard(obj.dim))
+
+
+def _dense(a):
+    """The algebra with its bracket in dense storage and a skew claim."""
+    return replace(a, bracket=BracketTensor(a.dim, a.arity, dict(a.bracket.dense_items())),
+                   skew=True)
+
+
 @pytest.mark.parametrize("name", corpus.corpus_names())
 def test_corpus_matches_oracle(name):
-    a = _algebra(corpus.load(name))
+    obj = corpus.load(name)
+    a = _algebra(obj)
     if isinstance(a, HomAssocNAry):
         _compare_assoc(a, _maps(a.dim))
     else:
         _compare_nambu(a, _maps(a.dim) + _space_elements(a, 3))
+        _compare_quadratic(_quadratic(obj), _maps(a.dim))
 
 
 @pytest.mark.parametrize("d", (4, 5, 6))
 def test_filippov_matches_oracle(d):
     a = filippov(d)
     _compare_nambu(a, _maps(d)[2:] + _space_elements(a, 1), levels=(0,))
+    # the oracle takes about 1.5 s per form on A6's 6^4 adjoint operators
+    _compare_quadratic(_quadratic(a), _maps(d)[1:] if d < 6 else ())
+
+
+@pytest.mark.parametrize("name", [n for n in corpus.corpus_names() if n != "dualnumbers3"]
+                         + ["A4", "A5", "A4-relabelled"])
+def test_skew_claims_on_dense_storage_match_oracle(name):
+    """A skew claim decides the identity on increasing tuples whatever the
+    storage, also when the dense bracket is not in fact alternating."""
+    if name == "A4-relabelled":
+        p = Matrix(4, 4, [1, 1, 0, 0, 0, 1, 2, 0, 0, 0, 1, -1, 1, 0, 0, 1])
+        a = filippov(4)
+        a = replace(a, bracket=a.bracket.transform([p] * 3, out_map=p))
+    elif name.startswith("A"):
+        a = filippov(int(name[1:]))
+    else:
+        a = _algebra(corpus.load(name))
+    _same(check_hom_nambu_identity, oracle.hom_nambu_identity, _dense(a))
 
 
 @pytest.fixture(scope="module")
 def constructed(ex1, s4, sl2):
     return {
-        "raise": raise_arity(ex1, 1).algebra,
+        "raise": raise_arity(ex1, 1),
         "leibniz": induced_hom_leibniz(s4.algebra),
-        "tstar": tstar_extension(s4.algebra, BilinearForm.standard(4)).algebra,
-        "faulkner-ternary": faulkner_ternary(sl2).algebra,
+        "tstar": tstar_extension(s4.algebra, BilinearForm.standard(4)).structure,
+        "tstar-omega": tstar_extension(s4.algebra, BilinearForm.standard(4),
+                                       omega=SIGN4).structure,
+        "twist": twist_by_morphism(s4.algebra, SIGN4),
+        "self-twist": self_twist(ex1.algebra),
+        "faulkner-ternary": faulkner_ternary(sl2),
         "faulkner-leibniz": tensor_leibniz(sl2),
     }
 
 
-@pytest.mark.parametrize("name", ("raise", "leibniz", "tstar", "faulkner-ternary",
-                                  "faulkner-leibniz"))
+@pytest.mark.parametrize("name", ("raise", "leibniz", "tstar", "tstar-omega", "twist",
+                                  "self-twist", "faulkner-ternary", "faulkner-leibniz"))
 def test_construction_outputs_match_oracle(constructed, name):
     x = constructed[name]
     if isinstance(x, HomLeibnizAlgebra):
         x = x.as_nambu()        # the arity-2 view also runs the Leibniz check
-    _compare_nambu(x, _maps(x.dim)[2:], levels=(0, 1))
+    a = _algebra(x)
+    _compare_nambu(a, _maps(a.dim)[2:], levels=(0, 1))
+    _compare_quadratic(_quadratic(x), _maps(a.dim)[:2])
 
 
 def test_rectangular_morphism_matches_oracle(s4, sum5):
@@ -130,7 +184,11 @@ def test_budgets_match_oracle(s4, dualnum):
             (check_hom_leibniz, oracle.hom_leibniz,
              HomLeibnizAlgebra(3, corpus.load("sl2").algebra.bracket, Matrix.identity(3)), 27),
             (check_total_hom_associativity, oracle.total_hom_associativity,
-             dualnum, 8 + 32)):
+             dualnum, 8 + 32),
+            (check_hom_nambu_identity, oracle.hom_nambu_identity, a, 6 * 4),
+            (check_hom_nambu_identity, oracle.hom_nambu_identity,
+             a.with_flags(skew=False), 16 * 64),
+            (check_quadratic, oracle.quadratic, s4, 16)):
         for check in (new, old):
             with pytest.raises(TupleBudgetExceeded):
                 check(obj, need - 1)
@@ -206,3 +264,106 @@ def test_product_perturbations_reach_every_failure(dualnum):
                 details.add(check_total_hom_associativity(h).detail)
     assert details == {None, "product not symmetric", "association orders 1 and 2 differ",
                        "association orders 2 and 3 differ"}
+
+
+# -------------------------------- skew claims and quadratic structures perturbed
+
+SKEW_BASES = {name: _algebra(corpus.load(name))
+              for name in ("simple3lie4", "sl2", "heisenberg3", "example2")}
+SKEW_BASES["A4"] = filippov(4)
+SKEW_BASES["A5"] = filippov(5)
+
+
+@settings(max_examples=120, deadline=None)
+@given(perturbed(SKEW_BASES))
+def test_perturbed_skew_claims_match_oracle(case):
+    """One entry changed in skew storage, or in dense storage where the tuple
+    may repeat an index, under a skew claim: the identity on increasing
+    tuples gives the loop's report."""
+    base, bracket, _ = case
+    a = HomNambuAlgebra(base.dim, base.arity, bracket, base.twists, skew=True)
+    _same(check_hom_nambu_identity, oracle.hom_nambu_identity, a)
+
+
+def test_skew_perturbations_fail_at_inner_tuples():
+    """Adding a basis vector to one stored entry of A4 or A5 fails the
+    identity at tuples past the first x and short of the last tuple; every
+    report matches."""
+    inner = set()
+    for a in (filippov(4), filippov(5)):
+        d, n = a.dim, a.arity
+        count = comb(d, n - 1) * comb(d, n)
+        for t in itertools.combinations(range(d), n):
+            for k in range(d):
+                coeffs = dict(a.bracket.coeffs)
+                coeffs[t] = coeffs.get(t, Vector.zero(d)) + Vector.basis(d, k)
+                b = replace(a, bracket=BracketTensor(d, n, coeffs, skew_storage=True))
+                _same(check_hom_nambu_identity, oracle.hom_nambu_identity, b)
+                r = check_hom_nambu_identity(b)
+                if comb(d, n) < r.tuples_checked < count:
+                    inner.add((d, r.tuples_checked))
+    assert len(inner) >= 4
+
+
+QUADRATIC_BASES = ("simple3lie4", "example1", "example2", "sl2", "A4", "tstar", "tstar-omega")
+
+
+@functools.lru_cache(maxsize=None)
+def _quadratic_base(name):
+    s4 = corpus.load("simple3lie4")
+    if name == "A4":
+        return _quadratic(filippov(4))
+    if name == "tstar":
+        return tstar_extension(s4.algebra, BilinearForm.standard(4)).structure
+    if name == "tstar-omega":
+        return tstar_extension(s4.algebra, BilinearForm.standard(4), omega=SIGN4).structure
+    return _quadratic(corpus.load(name))
+
+
+def _plus(m, i, j, delta):
+    entries = list(m.entries)
+    entries[i * m.cols + j] += delta
+    return Matrix(m.rows, m.cols, entries)
+
+
+@st.composite
+def perturbed_quadratic(draw):
+    q = _quadratic_base(draw(st.sampled_from(QUADRATIC_BASES)))
+    a = q.algebra
+    d, n = a.dim, a.arity
+    i, j = draw(st.integers(0, d - 1)), draw(st.integers(0, d - 1))
+    delta = draw(small.filter(bool))
+    part = draw(st.sampled_from(("gram", "beta", "bracket")))
+    if part == "gram":
+        return replace(q, form=BilinearForm(d, _plus(_plus(q.form.gram, i, j, delta),
+                                                      j, i, delta)))
+    if part == "beta":
+        return replace(q, beta=_plus(q.beta or Matrix.identity(d), i, j, delta))
+    t = tuple(draw(st.lists(st.integers(0, d - 1), min_size=n, max_size=n)))
+    bracket = _perturb(a.bracket, t, Vector.basis(d, i).scale(delta), draw(st.booleans()))
+    return replace(q, algebra=replace(a, bracket=bracket))
+
+
+@settings(max_examples=150, deadline=None)
+@given(perturbed_quadratic())
+def test_perturbed_quadratic_structures_match_oracle(q):
+    _same(check_quadratic, oracle.quadratic, q)
+
+
+def test_quadratic_perturbations_fail_at_inner_tuples():
+    """Symmetric changes of one pair of Gram entries of the T*-extension fail
+    invariance at x past the first and short of the last; every report,
+    counterexample pair (i, j) included, matches."""
+    q = _quadratic_base("tstar")
+    d, n = q.algebra.dim, q.algebra.arity
+    inner, off_diagonal = 0, 0
+    for i in range(d):
+        for j in range(i, d):
+            p = replace(q, form=BilinearForm(d, _plus(_plus(q.form.gram, i, j, 1), j, i, 1)))
+            _same(check_quadratic, oracle.quadratic, p)
+            r = check_quadratic(p)
+            if not r.passed:
+                inner += 1 < r.tuples_checked < d ** (n - 1)
+                yz = r.counterexample.indices[-2:]
+                off_diagonal += yz[0] != yz[1]
+    assert inner >= 4 and off_diagonal >= 4

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import filippov
 from nambucat import corpus, fileio
 from nambucat.cli import main
 
@@ -130,6 +131,34 @@ def test_max_tuples_budget(capsys):
     code, _, err = run(capsys, "--max-tuples", "1", "verify", cp("simple3lie4"),
                        "nambu")
     assert code == 1
+
+
+def test_max_tuples_budget_applies_at_load(capsys, tmp_path):
+    """A6 claims multiplicativity; the check that runs while the file loads
+    needs 6^5 tuples and exceeds the budget before any selector runs."""
+    path = tmp_path / "A6.json"
+    fileio.save(filippov(6), path)
+    want = "tuple budget exceeded: check needs 7776 basis tuples, budget is 10\n"
+    for argv in (["verify", str(path)], ["verify", str(path), "nambu"],
+                 ["solve", str(path), "center"], ["report", str(path)],
+                 ["construct", "self-twist", str(path), "-o", str(tmp_path / "out.json")]):
+        code, out, err = run(capsys, "--max-tuples", "10", *argv)
+        assert (code, out, err) == (1, "", want), argv
+    assert not (tmp_path / "out.json").exists()
+    code, _, _ = run(capsys, "--max-tuples", "7776", "verify", str(path), "multiplicative")
+    assert code == 0
+
+
+def test_construct_raise_honours_budget(capsys, tmp_path):
+    """Raising A5 to arity 7 stops at the first check on the output (skew
+    symmetry on 5^7 tuples) instead of running the identity on 5^13."""
+    src, dst = tmp_path / "A5.json", tmp_path / "out.json"
+    fileio.save(filippov(5), src)
+    code, out, err = run(capsys, "--max-tuples", "1000", "construct", "raise", str(src),
+                         "-k", "1", "-o", str(dst))
+    assert (code, out) == (1, "")
+    assert err == "tuple budget exceeded: check needs 78125 basis tuples, budget is 1000\n"
+    assert not dst.exists()
 
 
 def test_parallel_is_a_usage_error(capsys):

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from nambucat import Matrix, Vector, corpus, fileio
+from nambucat import Matrix, TupleBudgetExceeded, Vector, corpus, fileio
 from nambucat.fileio import FileFormatError, FlagVerificationError
 
 
@@ -53,6 +53,15 @@ def test_false_multiplicative_claim_fails_closed():
     doc["flags"]["multiplicative"] = True
     with pytest.raises(FlagVerificationError):
         fileio.from_document(doc)
+
+
+def test_load_time_check_honours_budget(tmp_path):
+    path = tmp_path / "s4.json"
+    fileio.save(corpus.load("simple3lie4"), path)
+    with pytest.raises(TupleBudgetExceeded, match="needs 64 basis tuples, budget is 63"):
+        fileio.load(path, max_tuples=63)
+    assert fileio.load(path, max_tuples=64) == fileio.load(path)
+    assert fileio.load(path, verify=False, max_tuples=1) == fileio.load(path)
 
 
 def test_flag_error_carries_report():
