@@ -5,7 +5,7 @@ and extension constructions, and centroid/derivation spaces."""
 from . import corpus, fileio
 from .algebra import (BilinearForm, BracketTensor, HomAssocNAry,
                       HomLeibnizAlgebra, HomNambuAlgebra, QuadraticStructure,
-                      adjoint_of_basis_tuple, adjoint_operator, eval_bracket)
+                      adjoint_operator, eval_bracket)
 from .checks import (CheckReport, Counterexample, TupleBudgetExceeded,
                      check_hom_leibniz, check_hom_nambu_identity,
                      check_morphism, check_multiplicativity, check_quadratic,

@@ -10,11 +10,11 @@ transform, never implicit.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .linalg import Matrix, Vector, frac
+from .linalg import Matrix, Vector
 
 
 def perm_sign(perm: Sequence[int]) -> int:
@@ -171,16 +171,34 @@ class BracketTensor:
                 if not c:
                     continue
                 for head, tail, vals in outer.get(j, ()):
-                    key = head + t + tail
-                    row = acc.get(key)
-                    if row is None:
-                        row = acc[key] = [Fraction(0)] * self.vdim
-                    for r, x in enumerate(vals):
-                        if x:
-                            row[r] += c * x
+                    add_scaled(acc, head + t + tail, c, vals)
         return BracketTensor(self.dim, self.arity + inner.arity - 1,
                              {key: Vector(row) for key, row in acc.items()},
                              vdim=self.vdim)
+
+    def permute(self, order: Sequence[int]) -> "BracketTensor":
+        """The tensor with its slots reordered: the entry at key t moves to
+        ``tuple(t[o] for o in order)``, so new slot k takes old slot
+        ``order[k]``.  The result has dense storage."""
+        if sorted(order) != list(range(self.arity)):
+            raise ValueError(f"{order} does not reorder {self.arity} slots")
+        return BracketTensor(self.dim, self.arity,
+                             {tuple(t[o] for o in order): v for t, v in self.dense_items()},
+                             vdim=self.vdim)
+
+    @classmethod
+    def combine(cls, terms: Sequence[Tuple[int, "BracketTensor"]]) -> "BracketTensor":
+        """The sum of c * T over the (c, T) pairs, which share dim, arity and
+        vdim; entries that cancel are dropped."""
+        shapes = {(t.dim, t.arity, t.vdim) for _, t in terms}
+        if len(shapes) != 1:
+            raise ValueError("combine needs one or more tensors of one shape")
+        acc: Dict[Tuple[int, ...], List[Fraction]] = {}
+        for c, tensor in terms:
+            for key, vec in tensor.dense_items():
+                add_scaled(acc, key, c, vec.entries)
+        dim, arity, vdim = shapes.pop()
+        return cls(dim, arity, {key: Vector(row) for key, row in acc.items()}, vdim=vdim)
 
     def transform(self, slot_maps: Sequence[Optional[Matrix]],
                   out_map: Optional[Matrix] = None) -> "BracketTensor":
@@ -203,21 +221,14 @@ class BracketTensor:
         for k, m in enumerate(maps):
             if m is None:
                 continue
-            nxt: Dict[Tuple[int, ...], list] = {}
+            nxt: Dict[Tuple[int, ...], List[Fraction]] = {}
             for idx, vec in items.items():
                 i = idx[k]
                 for j in range(width):
                     c = m[i, j]
                     if c == 0:
                         continue
-                    key = idx[:k] + (j,) + idx[k + 1:]
-                    acc = nxt.get(key)
-                    if acc is None:
-                        acc = [Fraction(0)] * self.vdim
-                        nxt[key] = acc
-                    for r, x in enumerate(vec.entries):
-                        if x:
-                            acc[r] += c * x
+                    add_scaled(nxt, idx[:k] + (j,) + idx[k + 1:], c, vec.entries)
             items = {key: Vector(v) for key, v in nxt.items()}
         vdim = self.vdim
         if out_map is not None and not _is_identity(out_map, vdim):
@@ -244,6 +255,17 @@ class BracketTensor:
     def __repr__(self) -> str:
         return (f"BracketTensor(dim={self.dim}, arity={self.arity}, "
                 f"nnz={len(self.coeffs)}, skew_storage={self.skew_storage})")
+
+
+def add_scaled(acc: Dict[Tuple[int, ...], List[Fraction]], key: Tuple[int, ...],
+               c: Fraction, vals: Sequence[Fraction]) -> None:
+    """Add c * vals to the row stored under key, starting from zeros."""
+    row = acc.get(key)
+    if row is None:
+        row = acc[key] = [Fraction(0)] * len(vals)
+    for r, v in enumerate(vals):
+        if v:
+            row[r] += c * v
 
 
 def _is_identity(m: Matrix, n: int) -> bool:
@@ -390,14 +412,16 @@ def adjoint_operator(a: HomNambuAlgebra, x: Sequence[Vector]) -> Matrix:
     return Matrix.from_columns([op.value((j,)) for j in range(a.dim)])
 
 
-def adjoint_of_basis_tuple(a: HomNambuAlgebra, idx: Tuple[int, ...]) -> Matrix:
-    """Adjoint operator of a tuple of basis vectors, via direct table lookup."""
-    cols = [a.bracket.value(idx + (j,)) for j in range(a.dim)]
-    return Matrix.from_columns(cols)
-
-
 def all_tuples(dim: int, length: int) -> Iterable[Tuple[int, ...]]:
     return itertools.product(range(dim), repeat=length)
+
+
+def tuple_position(t: Tuple[int, ...], dim: int) -> int:
+    """Position of a tuple in ``all_tuples(dim, len(t))`` order."""
+    position = 0
+    for i in t:
+        position = position * dim + i
+    return position
 
 
 def increasing_tuples(dim: int, length: int) -> Iterable[Tuple[int, ...]]:

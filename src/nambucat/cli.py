@@ -13,7 +13,7 @@ import os
 import sys
 from typing import List, Optional
 
-from . import constructions, corpus, faulkner, fileio, spaces
+from . import constructions, faulkner, fileio, spaces
 from .algebra import (BilinearForm, HomAssocNAry, HomLeibnizAlgebra,
                       HomNambuAlgebra, QuadraticStructure)
 from .checks import (CheckReport, TupleBudgetExceeded,
@@ -23,7 +23,7 @@ from .checks import (CheckReport, TupleBudgetExceeded,
 from .constructions import ConstructionError
 from .faulkner import QuadraticLieAlgebra
 from .fileio import FileFormatError, FlagVerificationError
-from .linalg import Matrix, Vector, frac_str, rank
+from .linalg import rank
 
 SELECTORS = ("nambu", "skew", "multiplicative", "quadratic", "leibniz", "assoc")
 
@@ -146,7 +146,8 @@ def cmd_construct(args) -> int:
             raise UsageError("tensor needs two input files")
     elif len(inputs) != 1:
         raise UsageError(f"{sub} needs exactly one input file")
-    objs = [fileio.load(p, max_tuples=args.max_tuples) for p in inputs]
+    budget = args.max_tuples
+    objs = [fileio.load(p, max_tuples=budget) for p in inputs]
     names = [os.path.basename(p) for p in inputs]
     provenance = f"constructed by '{sub}' from {', '.join(names)}"
 
@@ -154,21 +155,23 @@ def cmd_construct(args) -> int:
         if not args.rho:
             raise UsageError("twist needs --rho")
         a = _as_nambu(objs[0], sub)
-        out = constructions.twist_by_morphism(a, fileio.matrix_from_file(args.rho, a.dim))
+        out = constructions.twist_by_morphism(a, fileio.matrix_from_file(args.rho, a.dim),
+                                              max_tuples=budget)
     elif sub == "self-twist":
-        out = constructions.self_twist(_as_nambu(objs[0], sub))
+        out = constructions.self_twist(_as_nambu(objs[0], sub), max_tuples=budget)
     elif sub == "tensor":
         h, a = objs
         if not isinstance(h, HomAssocNAry):
             raise UsageError("first tensor input must be a hom_assoc file")
-        out = constructions.tensor_product(h, _as_nambu(a, sub))
+        out = constructions.tensor_product(h, _as_nambu(a, sub), max_tuples=budget)
     elif sub == "leibniz":
-        out = constructions.induced_hom_leibniz(_as_nambu(objs[0], sub))
+        out = constructions.induced_hom_leibniz(_as_nambu(objs[0], sub), max_tuples=budget)
     elif sub == "tstar":
         a = _as_nambu(objs[0], sub)
         form = _form_arg(args.form or "identity", a.dim)
         omega = fileio.matrix_from_file(args.omega, a.dim) if args.omega else None
-        out = constructions.tstar_extension(a, form, omega=omega).structure
+        out = constructions.tstar_extension(a, form, omega=omega,
+                                            max_tuples=budget).structure
     elif sub == "trace-ternary":
         l = objs[0]
         if isinstance(l, (QuadraticStructure, HomNambuAlgebra)):
@@ -182,22 +185,22 @@ def cmd_construct(args) -> int:
             raise UsageError("trace-ternary needs --gamma and --tau")
         gamma = fileio.matrix_from_file(args.gamma, l.dim)
         tau = fileio.vector_from_file(args.tau, l.dim)
-        out = constructions.trace_induced_ternary(l, gamma, tau)
+        out = constructions.trace_induced_ternary(l, gamma, tau, max_tuples=budget)
     elif sub == "raise":
         out = constructions.raise_arity(_as_quadratic(objs[0], sub), args.k,
-                                        max_tuples=args.max_tuples)
+                                        max_tuples=budget)
     elif sub == "reduce":
         if not args.fixed:
             raise UsageError("reduce needs at least one --fixed vector file")
         q = _as_quadratic(objs[0], sub)
         fixed = [fileio.vector_from_file(p, q.algebra.dim) for p in args.fixed]
-        out = constructions.reduce_arity(q, fixed)
+        out = constructions.reduce_arity(q, fixed, max_tuples=budget)
     elif sub == "centroid-bracket":
         if not args.theta:
             raise UsageError("centroid-bracket needs --theta")
         a = _as_nambu(objs[0], sub)
         out = constructions.centroid_twisted_bracket(
-            a, fileio.matrix_from_file(args.theta, a.dim), args.p)
+            a, fileio.matrix_from_file(args.theta, a.dim), args.p, max_tuples=budget)
     elif sub == "pullback-form":
         q = objs[0]
         if not isinstance(q, QuadraticStructure):
@@ -214,11 +217,11 @@ def cmd_construct(args) -> int:
         alpha = fileio.matrix_from_file(args.alpha, g.dim) if args.alpha else None
         if args.what == "leibniz":
             if alpha is None:
-                out = faulkner.tensor_leibniz(g)
+                out = faulkner.tensor_leibniz(g, max_tuples=budget)
             else:
-                out = faulkner.omega_twist_leibniz(g, alpha)[0]
+                out = faulkner.omega_twist_leibniz(g, alpha, max_tuples=budget)[0]
         else:
-            out = faulkner.faulkner_ternary(g, alpha=alpha)
+            out = faulkner.faulkner_ternary(g, alpha=alpha, max_tuples=budget)
     else:
         raise UsageError(f"unknown construction {sub!r}")
 
@@ -280,7 +283,8 @@ def cmd_report(args) -> int:
             arity = 2 if isinstance(a, HomLeibnizAlgebra) else a.arity
             rows.append((path, kind, str(a.dim), str(arity),
                          "pass" if ok else "FAIL", str(cent), str(der), quad))
-        except (FileFormatError, FlagVerificationError, ValueError) as e:
+        except (FileFormatError, FlagVerificationError, ValueError,
+                TupleBudgetExceeded) as e:
             failures += 1
             rows.append((path, "error", "-", "-", str(e), "-", "-", "-"))
     header = ("file", "kind", "dim", "arity", "checks", "centroid", "derivations",

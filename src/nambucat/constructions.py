@@ -3,7 +3,8 @@
 Each transform takes verified input structures, checks the hypotheses it
 needs, builds the new bracket/form data, and re-verifies the advertised
 identities on the output before returning it. Hypothesis or verification
-failures raise ConstructionError carrying the failing CheckReport.
+failures raise ConstructionError carrying the failing CheckReport. Every
+check a transform runs honours its ``max_tuples`` budget.
 """
 
 from __future__ import annotations
@@ -11,15 +12,16 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import (BilinearForm, BracketTensor, HomAssocNAry,
                       HomLeibnizAlgebra, HomNambuAlgebra, QuadraticStructure,
-                      adjoint_of_basis_tuple, all_tuples)
+                      all_tuples, tuple_position)
 from .checks import (CheckReport, check_hom_leibniz, check_hom_nambu_identity,
                      check_morphism, check_multiplicativity, check_quadratic,
                      check_skew_symmetry)
-from .linalg import Matrix, Vector, in_span, kron, kron_vec, rank
+from .linalg import Matrix, Vector, in_span, kron, kron_vec
 
 
 def kron_power(m: Matrix, k: int) -> Matrix:
@@ -58,24 +60,25 @@ def _verified_flags(a: HomNambuAlgebra, expect_skew: Optional[bool] = None,
     return out
 
 
-def twist_by_morphism(a: HomNambuAlgebra, rho: Matrix,
-                      verify: bool = True) -> HomNambuAlgebra:
+def twist_by_morphism(a: HomNambuAlgebra, rho: Matrix, verify: bool = True,
+                      max_tuples: Optional[int] = None) -> HomNambuAlgebra:
     """Compose an untwisted bracket with one of its endomorphisms; the
     endomorphism becomes the twist family."""
     ident = Matrix.identity(a.dim)
     if any(t != ident for t in a.twists):
         raise ConstructionError("input must have identity twists")
-    _require(check_morphism(a, a, rho), "rho is not an endomorphism")
+    _require(check_morphism(a, a, rho, max_tuples), "rho is not an endomorphism")
     bracket = a.bracket.transform([None] * a.arity, out_map=rho)
     out = HomNambuAlgebra(a.dim, a.arity, bracket,
                           (rho,) * (a.arity - 1))
-    out = _verified_flags(out)
+    out = _verified_flags(out, max_tuples=max_tuples)
     if verify:
-        _require(check_hom_nambu_identity(out), "twisted algebra")
+        _require(check_hom_nambu_identity(out, max_tuples), "twisted algebra")
     return out
 
 
-def self_twist(a: HomNambuAlgebra, verify: bool = True) -> HomNambuAlgebra:
+def self_twist(a: HomNambuAlgebra, verify: bool = True,
+               max_tuples: Optional[int] = None) -> HomNambuAlgebra:
     """Second twisting principle: bracket composed with the (n-1)-th power of
     the twist, new twist the n-th power."""
     if not a.multiplicative:
@@ -84,9 +87,9 @@ def self_twist(a: HomNambuAlgebra, verify: bool = True) -> HomNambuAlgebra:
     n = a.arity
     bracket = a.bracket.transform([None] * n, out_map=alpha.power(n - 1))
     out = HomNambuAlgebra(a.dim, n, bracket, (alpha.power(n),) * (n - 1))
-    out = _verified_flags(out)
+    out = _verified_flags(out, max_tuples=max_tuples)
     if verify:
-        _require(check_hom_nambu_identity(out), "self-twisted algebra")
+        _require(check_hom_nambu_identity(out, max_tuples), "self-twisted algebra")
     return out
 
 
@@ -98,7 +101,7 @@ def tensor_product(h: HomAssocNAry, a: HomNambuAlgebra,
                    form_h: Optional[BilinearForm] = None,
                    beta_h: Optional[Matrix] = None,
                    form_a: Optional[QuadraticStructure] = None,
-                   verify: bool = True):
+                   verify: bool = True, max_tuples: Optional[int] = None):
     """Bracket mu(a_1..a_n) (x) [x_1..x_n] on the tensor space, twists the
     slot-wise Kronecker products.
 
@@ -116,9 +119,9 @@ def tensor_product(h: HomAssocNAry, a: HomNambuAlgebra,
     bracket = BracketTensor(da * dn, n, items)
     twists = tuple(kron(h.twists[i], a.twists[i]) for i in range(n - 1))
     out = HomNambuAlgebra(da * dn, n, bracket, twists)
-    out = _verified_flags(out)
+    out = _verified_flags(out, max_tuples=max_tuples)
     if verify:
-        _require(check_hom_nambu_identity(out), "tensor product algebra")
+        _require(check_hom_nambu_identity(out, max_tuples), "tensor product algebra")
     if form_h is None:
         return out
 
@@ -136,19 +139,19 @@ def tensor_product(h: HomAssocNAry, a: HomNambuAlgebra,
         op = Matrix.from_columns([h.mu.value(t + (j,)) for j in range(da)])
         if op.T @ ga @ beta_h != beta_h.T @ ga @ op:
             raise ConstructionError("first factor form is not beta-invariant for the product")
-    _require(check_quadratic(form_a), "second factor quadratic structure")
+    _require(check_quadratic(form_a, max_tuples), "second factor quadratic structure")
     beta_a = form_a.beta if form_a.beta is not None else Matrix.identity(dn)
     big_form = BilinearForm(da * dn, kron(ga, form_a.form.gram))
     omega = kron(beta_h, beta_a)
     result = QuadraticStructure(out, big_form, beta=omega)
     if verify:
-        _require(check_quadratic(result), "tensor product quadratic structure")
+        _require(check_quadratic(result, max_tuples), "tensor product quadratic structure")
     return out, result
 
 
 def induced_hom_leibniz(a: HomNambuAlgebra,
                         form: Optional[QuadraticStructure] = None,
-                        verify: bool = True):
+                        verify: bool = True, max_tuples: Optional[int] = None):
     """Binary bracket on the (n-1)-fold tensor power: the adjoint action of
     one fundamental element on another, slotwise, with the twist applied to
     untouched factors.
@@ -161,43 +164,47 @@ def induced_hom_leibniz(a: HomNambuAlgebra,
     n, d = a.arity, a.dim
     alpha = a.twist
     D = d ** (n - 1)
-    alpha_cols = [alpha.col(j) for j in range(d)]
-    basis_tuples = list(all_tuples(d, n - 1))
-    adj = {u: adjoint_of_basis_tuple(a, u) for u in basis_tuples}
-
-    def tensor_of(vectors: Sequence[Vector]) -> Vector:
-        acc = vectors[0]
-        for v in vectors[1:]:
-            acc = kron_vec(acc, v)
-        return acc
-
-    items: Dict[Tuple[int, ...], Vector] = {}
-    for ui, u in enumerate(basis_tuples):
-        L = adj[u]
-        for vi, v in enumerate(basis_tuples):
-            acc = Vector.zero(D)
-            for i in range(n - 1):
-                factors = [alpha_cols[v[j]] if j != i else L.col(v[i])
-                           for j in range(n - 1)]
-                acc = acc + tensor_of(factors)
-            if not acc.is_zero():
-                items[(ui, vi)] = acc
-    bracket = BracketTensor(D, 2, items)
+    alpha_entries = [(k, j, alpha[k, j]) for k in range(d) for j in range(d) if alpha[k, j]]
+    # [u, v] is the sum over factors i of L(u) on factor i and alpha on the
+    # others.  An entry (u + (c,), w) of the bracket meets every v with
+    # v_i = c; each other factor j contributes an entry alpha[k_j, v_j], and
+    # the output tensor index is k with k_i running over w.
+    rows: Dict[Tuple[int, int], List[Fraction]] = {}
+    for t, w in a.bracket.dense_items():
+        ui, c = tuple_position(t[:-1], d), t[-1]
+        for i in range(n - 1):
+            for others in itertools.product(alpha_entries, repeat=n - 2):
+                coef = prod(x for _, _, x in others)
+                ks = [k for k, _, _ in others]
+                vs = [j for _, j, _ in others]
+                vi = tuple_position(vs[:i] + [c] + vs[i:], d)
+                row = rows.setdefault((ui, vi), [Fraction(0)] * D)
+                for r, x in enumerate(w.entries):
+                    if x:
+                        row[tuple_position(ks[:i] + [r] + ks[i:], d)] += coef * x
+    bracket = BracketTensor(D, 2, {key: Vector(row) for key, row in rows.items()})
     alpha_hat = kron_power(alpha, n - 1)
     out = HomLeibnizAlgebra(D, bracket, alpha_hat)
     if verify:
-        _require(check_hom_leibniz(out), "induced Leibniz algebra")
+        _require(check_hom_leibniz(out, max_tuples), "induced Leibniz algebra")
     if form is None:
         return out
     if form.beta is None or form.beta != alpha:
         raise ConstructionError("induced form needs a Hom-quadratic input with beta = twist")
-    _require(check_quadratic(form), "input quadratic structure")
+    _require(check_quadratic(form, max_tuples), "input quadratic structure")
     b_hat = BilinearForm(D, kron_power(form.form.gram, n - 1))
     if verify:
         invariance = check_quadratic(
-            QuadraticStructure(out.as_nambu(), b_hat, beta=alpha_hat))
+            QuadraticStructure(out.as_nambu(), b_hat, beta=alpha_hat), max_tuples)
         _require(invariance, "induced form invariance")
     return out, b_hat
+
+
+def _blocks(top: Tuple[Matrix, Matrix], bottom: Tuple[Matrix, Matrix]) -> Matrix:
+    """The 2 x 2 block matrix with rows of d x d blocks ``top`` and ``bottom``."""
+    d = top[0].rows
+    return Matrix.from_rows([[m[i, j] for m in half for j in range(d)]
+                             for half in (top, bottom) for i in range(d)])
 
 
 @dataclass(frozen=True)
@@ -215,8 +222,8 @@ class TStarResult:
 
 
 def tstar_extension(a: HomNambuAlgebra, form: BilinearForm,
-                    omega: Optional[Matrix] = None,
-                    verify: bool = True) -> TStarResult:
+                    omega: Optional[Matrix] = None, verify: bool = True,
+                    max_tuples: Optional[int] = None) -> TStarResult:
     """Extension on N + N*: the bracket keeps the N part and adds the signed
     coadjoint correction terms; the form is the hyperbolic pairing extended
     by the original form on the N block."""
@@ -224,51 +231,36 @@ def tstar_extension(a: HomNambuAlgebra, form: BilinearForm,
     ident = Matrix.identity(d)
     if not a.skew or any(t != ident for t in a.twists):
         raise ConstructionError("input must be a skew algebra with identity twists")
-    _require(check_quadratic(QuadraticStructure(a, form)), "input quadratic structure")
+    _require(check_quadratic(QuadraticStructure(a, form), max_tuples),
+             "input quadratic structure")
 
-    C = a.bracket
-    adj_cache: Dict[Tuple[int, ...], Matrix] = {}
-
-    def adj(t: Tuple[int, ...]) -> Matrix:
-        m = adj_cache.get(t)
-        if m is None:
-            m = adjoint_of_basis_tuple(a, t)
-            adj_cache[t] = m
-        return m
-
-    items: Dict[Tuple[int, ...], Vector] = {}
+    entries = a.bracket.dense_items()
     zero_d = [Fraction(0)] * d
-    for t, v in C.dense_items():
-        items[t] = Vector(list(v.entries) + zero_d)
-    # one dual element at position i (0-based): sign (-1)^{(i+1)+n+1}
-    for i in range(n):
-        sign = 1 if ((i + 1) + n + 1) % 2 == 0 else -1
-        for rest in all_tuples(d, n - 1):
-            L = adj(rest)
-            for j in range(d):
-                # dual coordinates of e_j* composed with L: row j of L
-                dual = [sign * L[j, m] for m in range(d)]
-                if all(x == 0 for x in dual):
-                    continue
-                key = tuple(rest[:i]) + (d + j,) + tuple(rest[i:])
-                items[key] = Vector(zero_d + dual)
-    bracket = BracketTensor(2 * d, n, items)
+    rows: Dict[Tuple[int, ...], List[Fraction]] = {
+        t: list(v.entries) + zero_d for t, v in entries}
+    # one dual element e_j* at position i (0-based), sign (-1)^{(i+1)+n+1}:
+    # the entry (rest + (m,), v) puts sign * v_j at dual coordinate m of
+    # rest[:i] + (e_j*,) + rest[i:]
+    for t, v in entries:
+        rest, m = t[:-1], t[-1]
+        for i in range(n):
+            sign = 1 if (i + n) % 2 == 0 else -1
+            for j, x in enumerate(v.entries):
+                if x:
+                    key = rest[:i] + (d + j,) + rest[i:]
+                    rows.setdefault(key, [Fraction(0)] * (2 * d))[d + m] = sign * x
+    bracket = BracketTensor(2 * d, n, {t: Vector(row) for t, row in rows.items()})
 
-    gram_rows = []
-    for i in range(d):
-        gram_rows.append([form.gram[i, j] for j in range(d)]
-                         + [1 if j == i else 0 for j in range(d)])
-    for i in range(d):
-        gram_rows.append([1 if j == i else 0 for j in range(d)] + [0] * d)
-    big_form = BilinearForm(2 * d, Matrix.from_rows(gram_rows))
+    zero = Matrix.zero(d, d)
+    big_form = BilinearForm(2 * d, _blocks((form.gram, ident), (ident, zero)))
 
     big_ident = Matrix.identity(2 * d)
     ext = HomNambuAlgebra(2 * d, n, bracket, (big_ident,) * (n - 1))
-    ext = _verified_flags(ext)
+    ext = _verified_flags(ext, max_tuples=max_tuples)
     if omega is None:
         if verify:
-            _require(check_hom_nambu_identity(ext), "T*-extension")
-            _require(check_quadratic(QuadraticStructure(ext, big_form)),
+            _require(check_hom_nambu_identity(ext, max_tuples), "T*-extension")
+            _require(check_quadratic(QuadraticStructure(ext, big_form), max_tuples),
                      "T*-extension form")
         return TStarResult(QuadraticStructure(ext, big_form))
 
@@ -276,24 +268,21 @@ def tstar_extension(a: HomNambuAlgebra, form: BilinearForm,
         raise ConstructionError("omega is not an involution")
     if omega.T @ form.gram != form.gram @ omega:
         raise ConstructionError("omega is not symmetric with respect to the form")
-    _require(check_morphism(a, a, omega), "omega is not an automorphism")
-    big_omega_rows = []
-    for i in range(d):
-        big_omega_rows.append([omega[i, j] for j in range(d)] + [0] * d)
-    for i in range(d):
-        big_omega_rows.append([0] * d + [omega[j, i] for j in range(d)])
-    big_omega = Matrix.from_rows(big_omega_rows)
+    _require(check_morphism(a, a, omega, max_tuples), "omega is not an automorphism")
+    big_omega = _blocks((omega, zero), (zero, omega.T))
 
     tw_bracket = bracket.transform([None] * n, out_map=big_omega)
     twisted = HomNambuAlgebra(2 * d, n, tw_bracket, (big_omega,) * (n - 1))
-    twisted = _verified_flags(twisted)
+    twisted = _verified_flags(twisted, max_tuples=max_tuples)
     struct = QuadraticStructure(twisted, big_form, beta=big_omega)
     omega_form = BilinearForm(2 * d, big_omega.T @ big_form.gram)
     if verify:
-        _require(check_hom_nambu_identity(twisted), "twisted T*-extension")
-        _require(check_multiplicativity(twisted), "twisted T*-extension multiplicativity")
-        _require(check_quadratic(struct), "twisted T*-extension Hom-quadratic form")
-        _require(check_quadratic(QuadraticStructure(twisted, omega_form)),
+        _require(check_hom_nambu_identity(twisted, max_tuples), "twisted T*-extension")
+        _require(check_multiplicativity(twisted, max_tuples),
+                 "twisted T*-extension multiplicativity")
+        _require(check_quadratic(struct, max_tuples),
+                 "twisted T*-extension Hom-quadratic form")
+        _require(check_quadratic(QuadraticStructure(twisted, omega_form), max_tuples),
                  "twisted T*-extension pulled-back form")
     return TStarResult(struct, omega=big_omega, omega_form=omega_form)
 
@@ -308,12 +297,12 @@ def pullback_form(form: BilinearForm, m: Matrix) -> BilinearForm:
 def trace_induced_ternary(l: HomLeibnizAlgebra, gamma: Matrix, tau: Vector,
                           form: Optional[BilinearForm] = None,
                           beta: Optional[Matrix] = None,
-                          verify: bool = True):
+                          verify: bool = True, max_tuples: Optional[int] = None):
     """Ternary bracket tau(x)[y,z] + tau(y)[z,x] + tau(z)[x,y] with twist
     pair (twist, gamma); optionally carries a form into a quadratic output."""
     d = l.dim
     alpha = l.twist
-    _require(check_skew_symmetry(l.as_nambu()), "input bracket skew-symmetry")
+    _require(check_skew_symmetry(l.as_nambu(), max_tuples), "input bracket skew-symmetry")
 
     def tval(m: Matrix) -> Vector:
         return m.T.apply(tau)   # i -> tau(m e_i)
@@ -331,19 +320,15 @@ def trace_induced_ternary(l: HomLeibnizAlgebra, gamma: Matrix, tau: Vector,
                 raise ConstructionError(
                     f"trace condition tau(a x) g(y) = tau(g x) a(y) fails at ({i + 1},{j + 1})")
 
-    C = l.bracket
-    items: Dict[Tuple[int, ...], Vector] = {}
-    for t in all_tuples(d, 3):
-        i, j, k = t
-        v = (C.value((j, k)).scale(tau[i])
-             + C.value((k, i)).scale(tau[j])
-             + C.value((i, j)).scale(tau[k]))
-        if not v.is_zero():
-            items[t] = v
-    tern = HomNambuAlgebra(d, 3, BracketTensor(d, 3, items), (alpha, gamma))
-    tern = _verified_flags(tern, expect_skew=True)
+    # tau(x)[y, z], moved by the two cyclic reorders to tau(y)[z, x] and tau(z)[x, y]
+    first = BracketTensor(d, 3, {(i,) + t: v.scale(tau[i]) for i in range(d) if tau[i]
+                                 for t, v in l.bracket.dense_items()})
+    bracket = BracketTensor.combine([(1, first), (1, first.permute((2, 0, 1))),
+                                     (1, first.permute((1, 2, 0)))])
+    tern = HomNambuAlgebra(d, 3, bracket, (alpha, gamma))
+    tern = _verified_flags(tern, expect_skew=True, max_tuples=max_tuples)
     if verify:
-        _require(check_hom_nambu_identity(tern), "trace-induced ternary algebra")
+        _require(check_hom_nambu_identity(tern, max_tuples), "trace-induced ternary algebra")
     if form is None:
         return tern
 
@@ -362,7 +347,7 @@ def trace_induced_ternary(l: HomLeibnizAlgebra, gamma: Matrix, tau: Vector,
                         "compatibility tau(x) B(beta y, z) = tau(y) B(beta x, z) fails")
     struct = QuadraticStructure(tern, form, beta=beta)
     if verify:
-        _require(check_quadratic(struct), "trace-induced quadratic structure")
+        _require(check_quadratic(struct, max_tuples), "trace-induced quadratic structure")
     return tern, struct
 
 
@@ -405,8 +390,8 @@ def raise_arity(q: QuadraticStructure, k: int, verify: bool = True,
     return struct
 
 
-def reduce_arity(q: QuadraticStructure, fixed: Sequence[Vector],
-                 verify: bool = True) -> QuadraticStructure:
+def reduce_arity(q: QuadraticStructure, fixed: Sequence[Vector], verify: bool = True,
+                 max_tuples: Optional[int] = None) -> QuadraticStructure:
     """Freeze leading arguments to fixed vectors that the relevant twists fix
     and that annihilate the bracket per the lowering hypotheses."""
     a = q.algebra
@@ -427,16 +412,17 @@ def reduce_arity(q: QuadraticStructure, fixed: Sequence[Vector],
                 f"{tuple(i + 1 for i in t)}")
 
     out = HomNambuAlgebra(d, n - k, C.fix(fixed), tuple(a.twists[k:]))
-    out = _verified_flags(out)
+    out = _verified_flags(out, max_tuples=max_tuples)
     struct = QuadraticStructure(out, q.form, beta=q.beta)
     if verify:
-        _require(check_hom_nambu_identity(out), "reduced-arity algebra")
-        _require(check_quadratic(struct), "reduced-arity quadratic structure")
+        _require(check_hom_nambu_identity(out, max_tuples), "reduced-arity algebra")
+        _require(check_quadratic(struct, max_tuples), "reduced-arity quadratic structure")
     return struct
 
 
 def centroid_twisted_bracket(a: HomNambuAlgebra, theta: Matrix, p: int,
-                             verify: bool = True) -> HomNambuAlgebra:
+                             verify: bool = True,
+                             max_tuples: Optional[int] = None) -> HomNambuAlgebra:
     """Apply a centroid element to the first p arguments; the element becomes
     the twist family."""
     n, d = a.arity, a.dim
@@ -451,7 +437,7 @@ def centroid_twisted_bracket(a: HomNambuAlgebra, theta: Matrix, p: int,
         raise ConstructionError("theta is not in the centroid")
     bracket = a.bracket.transform([theta] * p + [None] * (n - p))
     out = HomNambuAlgebra(d, n, bracket, (theta,) * (n - 1))
-    out = _verified_flags(out, expect_skew=True)
+    out = _verified_flags(out, expect_skew=True, max_tuples=max_tuples)
     if verify:
-        _require(check_hom_nambu_identity(out), "centroid-twisted algebra")
+        _require(check_hom_nambu_identity(out, max_tuples), "centroid-twisted algebra")
     return out

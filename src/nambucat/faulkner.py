@@ -9,7 +9,7 @@ from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
 from .algebra import (BilinearForm, BracketTensor, HomLeibnizAlgebra,
-                      HomNambuAlgebra, QuadraticStructure, all_tuples)
+                      HomNambuAlgebra, QuadraticStructure)
 from .checks import (CheckReport, Counterexample, check_hom_leibniz,
                      check_hom_nambu_identity, check_morphism,
                      check_multiplicativity, check_quadratic,
@@ -77,8 +77,8 @@ def _phi_table(g: QuadraticLieAlgebra) -> List[List[Vector]]:
              for j in range(d)] for i in range(d)]
 
 
-def tensor_leibniz(g: QuadraticLieAlgebra,
-                   verify: bool = True) -> HomLeibnizAlgebra:
+def tensor_leibniz(g: QuadraticLieAlgebra, verify: bool = True,
+                   max_tuples: Optional[int] = None) -> HomLeibnizAlgebra:
     """Leibniz bracket on g (x) g*: phi of the first argument acts on both
     factors of the second by the adjoint and coadjoint actions."""
     d = g.dim
@@ -106,7 +106,7 @@ def tensor_leibniz(g: QuadraticLieAlgebra,
     out = HomLeibnizAlgebra(d * d, BracketTensor(d * d, 2, items),
                             Matrix.identity(d * d))
     if verify:
-        _require(check_hom_leibniz(out), "tensor Leibniz algebra")
+        _require(check_hom_leibniz(out, max_tuples), "tensor Leibniz algebra")
     return out
 
 
@@ -134,7 +134,7 @@ def check_phi_equivariance(g: QuadraticLieAlgebra) -> CheckReport:
 
 
 def omega_twist_leibniz(g: QuadraticLieAlgebra, alpha: Matrix,
-                        verify: bool = True):
+                        verify: bool = True, max_tuples: Optional[int] = None):
     """Twist the tensor Leibniz bracket by Omega = alpha (x) alpha^T for an
     involutive, form-symmetric automorphism alpha. Returns the twisted
     Hom-Leibniz algebra together with the twisted pairing form."""
@@ -144,9 +144,9 @@ def omega_twist_leibniz(g: QuadraticLieAlgebra, alpha: Matrix,
         raise ConstructionError("alpha is not an involution")
     if alpha.T @ g.form.gram != g.form.gram @ alpha:
         raise ConstructionError("alpha is not symmetric with respect to the form")
-    _require(check_morphism(g.algebra, g.algebra, alpha),
+    _require(check_morphism(g.algebra, g.algebra, alpha, max_tuples),
              "alpha is not an automorphism")
-    base = tensor_leibniz(g, verify=verify)
+    base = tensor_leibniz(g, verify=verify, max_tuples=max_tuples)
     omega = kron(alpha, alpha.T)
     bracket = base.bracket.transform([None, None], out_map=omega)
     out = HomLeibnizAlgebra(d * d, bracket, omega)
@@ -156,16 +156,17 @@ def omega_twist_leibniz(g: QuadraticLieAlgebra, alpha: Matrix,
          for i in range(d) for j in range(d)])
     form = BilinearForm(d * d, gram)
     if verify:
-        _require(check_hom_leibniz(out), "twisted tensor Leibniz algebra")
-        _require(check_multiplicativity(out.as_nambu()),
+        _require(check_hom_leibniz(out, max_tuples), "twisted tensor Leibniz algebra")
+        _require(check_multiplicativity(out.as_nambu(), max_tuples),
                  "twisted tensor Leibniz multiplicativity")
-        _require(check_quadratic(QuadraticStructure(out.as_nambu(), form)),
+        _require(check_quadratic(QuadraticStructure(out.as_nambu(), form), max_tuples),
                  "twisted tensor Leibniz form")
     return out, form
 
 
 def faulkner_ternary(g: QuadraticLieAlgebra, alpha: Optional[Matrix] = None,
-                     verify: bool = True) -> QuadraticStructure:
+                     verify: bool = True,
+                     max_tuples: Optional[int] = None) -> QuadraticStructure:
     """Ternary bracket [x, y, z] = [T(x (x) y), z] with T(x (x) y) =
     phi(x (x) By); with an involution alpha the bracket and form are twisted
     into a Hom-quadratic ternary structure."""
@@ -194,11 +195,11 @@ def faulkner_ternary(g: QuadraticLieAlgebra, alpha: Optional[Matrix] = None,
     bracket = BracketTensor(d, 3, items)
     if alpha is None:
         tern = HomNambuAlgebra(d, 3, bracket, (Matrix.identity(d),) * 2)
-        tern = _verified_flags(tern)
+        tern = _verified_flags(tern, max_tuples=max_tuples)
         struct = QuadraticStructure(tern, g.form)
         if verify:
-            _require(check_hom_nambu_identity(tern), "ternary algebra")
-            _require(check_quadratic(struct), "ternary quadratic structure")
+            _require(check_hom_nambu_identity(tern, max_tuples), "ternary algebra")
+            _require(check_quadratic(struct, max_tuples), "ternary quadratic structure")
         return struct
 
     ident = Matrix.identity(d)
@@ -206,15 +207,15 @@ def faulkner_ternary(g: QuadraticLieAlgebra, alpha: Optional[Matrix] = None,
         raise ConstructionError("alpha is not an involution")
     if alpha.T @ gram != gram @ alpha:
         raise ConstructionError("alpha is not symmetric with respect to the form")
-    _require(check_morphism(g.algebra, g.algebra, alpha),
+    _require(check_morphism(g.algebra, g.algebra, alpha, max_tuples),
              "alpha is not an automorphism")
     tw_bracket = bracket.transform([None] * 3, out_map=alpha)
     tern = HomNambuAlgebra(d, 3, tw_bracket, (alpha, alpha))
-    tern = _verified_flags(tern)
+    tern = _verified_flags(tern, max_tuples=max_tuples)
     form = BilinearForm(d, alpha.T @ gram)
     struct = QuadraticStructure(tern, form)
     if verify:
-        _require(check_hom_nambu_identity(tern), "twisted ternary algebra")
-        _require(check_multiplicativity(tern), "twisted ternary multiplicativity")
-        _require(check_quadratic(struct), "twisted ternary quadratic structure")
+        _require(check_hom_nambu_identity(tern, max_tuples), "twisted ternary algebra")
+        _require(check_multiplicativity(tern, max_tuples), "twisted ternary multiplicativity")
+        _require(check_quadratic(struct, max_tuples), "twisted ternary quadratic structure")
     return struct

@@ -11,7 +11,6 @@ re-verified on load. A false claim fails the load.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from typing import Dict, List, Optional, Tuple, Union
 
 from .algebra import (BilinearForm, BracketTensor, HomAssocNAry,
@@ -158,7 +157,8 @@ def from_document(doc: dict, verify: bool = True,
                   max_tuples: Optional[int] = None) -> AlgebraLike:
     if not isinstance(doc, dict):
         raise FileFormatError("top level must be a JSON object")
-    if doc.get("schema_version") != SCHEMA_VERSION:
+    version = doc.get("schema_version")
+    if not (_is_int(version) and version == SCHEMA_VERSION):
         raise FileFormatError("missing or unsupported schema_version")
     kind = doc.get("kind")
     if kind not in ("hom_nambu", "hom_leibniz", "hom_assoc", "quadratic_lie"):
@@ -178,7 +178,10 @@ def from_document(doc: dict, verify: bool = True,
     twists = tuple(_mat_from(t, dim, dim, "twist") for t in raw_twists)
     form = beta = None
     if doc.get("form") is not None:
-        form = BilinearForm(dim, _mat_from(doc["form"], dim, dim, "form"))
+        gram = _mat_from(doc["form"], dim, dim, "form")
+        if not gram.is_symmetric():
+            raise FileFormatError("form must be a symmetric matrix")
+        form = BilinearForm(dim, gram)
     if doc.get("beta") is not None:
         beta = _mat_from(doc["beta"], dim, dim, "beta")
 
@@ -188,10 +191,11 @@ def from_document(doc: dict, verify: bool = True,
         return HomAssocNAry(dim, arity, BracketTensor(dim, arity, items), twists)
 
     flags = doc.get("flags", {})
-    if not isinstance(flags, dict):
-        raise FileFormatError("flags must be an object")
-    claim_skew = bool(flags.get("skew", kind == "quadratic_lie"))
-    claim_mult = bool(flags.get("multiplicative", False))
+    if not (isinstance(flags, dict)
+            and all(isinstance(v, bool) for v in flags.values())):
+        raise FileFormatError("flags must be an object of true/false values")
+    claim_skew = flags.get("skew", kind == "quadratic_lie")
+    claim_mult = flags.get("multiplicative", False)
     if claim_skew:
         # skew-flagged entries denote the canonical alternating extension;
         # listing two entries of one orbit with inconsistent values, or a
@@ -212,6 +216,8 @@ def from_document(doc: dict, verify: bool = True,
     if kind == "quadratic_lie":
         if form is None:
             raise FileFormatError("quadratic_lie requires a form")
+        if not form.nondegenerate:
+            raise FlagVerificationError("quadratic_lie form is degenerate")
         g = QuadraticLieAlgebra(a, form)
         if verify:
             for r in g.validate(max_tuples):
@@ -228,7 +234,7 @@ def loads(text: str, verify: bool = True,
           max_tuples: Optional[int] = None) -> AlgebraLike:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:
         raise FileFormatError(f"invalid JSON: {e}")
     return from_document(doc, verify=verify, max_tuples=max_tuples)
 
@@ -249,7 +255,7 @@ def load_document(path) -> dict:
     try:
         with open(path) as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:
         raise FileFormatError(f"invalid JSON: {e}")
     if not isinstance(doc, dict):
         raise FileFormatError("top level must be a JSON object")

@@ -8,12 +8,12 @@ endomorphism nu of the target space entering the defining identity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from fractions import Fraction
+from typing import Dict, List, Tuple
 
-from .algebra import (BracketTensor, HomNambuAlgebra, QuadraticStructure,
-                      adjoint_of_basis_tuple, all_tuples)
-from .checks import CheckReport, Counterexample, check_representation
-from .linalg import Matrix, Vector, rank
+from .algebra import BracketTensor, HomNambuAlgebra, QuadraticStructure
+from .checks import CheckReport, _compare, check_representation
+from .linalg import Matrix, Vector, kron, rank
 
 
 @dataclass(frozen=True)
@@ -43,17 +43,26 @@ class Representation:
         return Matrix(self.target_dim, self.target_dim, self.rho.value(idx).entries)
 
 
+def _adjoint_tensor(a: HomNambuAlgebra, coadjoint: bool = False) -> BracketTensor:
+    """rho(x) flattened, read from the bracket's entries: entry r*d+c is
+    [x, e_c]_r, or -[x, e_r]_c for the coadjoint (negated transpose)."""
+    d = a.dim
+    rows: Dict[Tuple[int, ...], List[Fraction]] = {}
+    for t, v in a.bracket.dense_items():
+        row = rows.setdefault(t[:-1], [Fraction(0)] * (d * d))
+        k = t[-1]
+        for r, x in enumerate(v.entries):
+            if coadjoint:
+                row[k * d + r] = -x
+            else:
+                row[r * d + k] = x
+    return BracketTensor(d, a.arity - 1, {x: Vector(row) for x, row in rows.items()},
+                         vdim=d * d)
+
+
 def adjoint_rep(a: HomNambuAlgebra) -> Representation:
     """rho(x) = adjoint operator of x, nu = last twist map."""
-    n, d = a.arity, a.dim
-    items = {}
-    for t in all_tuples(d, n - 1):
-        L = adjoint_of_basis_tuple(a, t)
-        if not L.is_zero():
-            items[t] = L.flatten()
-    rho = BracketTensor(d, n - 1, items, vdim=d * d)
-    nu = a.twists[n - 2] if n >= 2 else Matrix.identity(d)
-    return Representation(d, n, d, rho, nu)
+    return Representation(a.dim, a.arity, a.dim, _adjoint_tensor(a), a.twists[-1])
 
 
 def coadjoint_rep(a: HomNambuAlgebra) -> Tuple[Representation, CheckReport]:
@@ -64,38 +73,26 @@ def coadjoint_rep(a: HomNambuAlgebra) -> Tuple[Representation, CheckReport]:
     the adjoint action); the two are packaged so callers cannot use the
     coadjoint without seeing the verdict.
     """
-    n, d = a.arity, a.dim
-    adj = adjoint_rep(a)
-    items = {}
-    for t, vec in adj.rho.dense_items():
-        items[t] = (-Matrix(d, d, vec.entries).T).flatten()
-    rho_star = BracketTensor(d, n - 1, items, vdim=d * d)
-    nu_star = adj.nu.T
-    rep = Representation(d, n, d, rho_star, nu_star)
-    condition = check_representation(a, adj, mode="dual")
-    return rep, condition
+    rep = Representation(a.dim, a.arity, a.dim, _adjoint_tensor(a, coadjoint=True),
+                         a.twists[-1].T)
+    return rep, check_representation(a, adjoint_rep(a), mode="dual")
 
 
 def rep_isomorphism_psi(q: QuadraticStructure) -> Tuple[Matrix, CheckReport]:
     """The form viewed as a map into the dual space, verified to intertwine the
-    adjoint and coadjoint actions and the twist endomorphisms."""
+    adjoint and coadjoint actions and the twist endomorphisms: G L(x) against
+    -L(x)^T G, compared as flattened operators on every basis tuple x."""
     a = q.algebra
     n, d = a.arity, a.dim
     G = q.form.gram
     if rank(G) < d:
         raise ValueError("form is degenerate; no isomorphism")
-    alpha_last = a.twists[n - 2]
-    checked = 0
+    alpha_last = a.twists[-1]
     if G @ alpha_last != alpha_last.T @ G:
         return G, CheckReport("rep_isomorphism", False, None, 0,
                               detail="psi does not intertwine nu with nu*")
-    for x in all_tuples(d, n - 1):
-        checked += 1
-        L = adjoint_of_basis_tuple(a, x)
-        lhs = G @ L
-        rhs = (-L.T) @ G     # coadjoint operator composed with psi
-        if lhs != rhs:
-            return G, CheckReport("rep_isomorphism", False,
-                                  Counterexample(x, lhs.flatten(), rhs.flatten()),
-                                  checked)
-    return G, CheckReport("rep_isomorphism", True, None, checked)
+    ident = Matrix.identity(d)
+    slots = [None] * (n - 1)
+    lhs = _adjoint_tensor(a).transform(slots, out_map=kron(G, ident))
+    rhs = _adjoint_tensor(a, coadjoint=True).transform(slots, out_map=kron(ident, G.T))
+    return G, _compare("rep_isomorphism", d, n - 1, lhs, rhs)

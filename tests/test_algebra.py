@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from nambucat import (BilinearForm, BracketTensor, HomAssocNAry, HomNambuAlgebra,
                       Matrix, Vector, corpus, eval_bracket)
-from nambucat.algebra import (adjoint_of_basis_tuple, adjoint_operator,
+from nambucat.algebra import (adjoint_operator,
                               all_tuples, increasing_tuples, perm_sign)
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=5)
@@ -94,13 +94,39 @@ def test_transform_identity_maps_and_rectangular_slots(s4):
             b.transform(maps)
 
 
+def test_permute_moves_slots(ex1, s4):
+    """New slot k takes old slot order[k]; skew storage is read expanded."""
+    b = ex1.algebra.bracket
+    for order in itertools.permutations(range(3)):
+        p = b.permute(order)
+        assert (p.dim, p.arity, p.vdim, p.skew_storage) == (3, 3, 3, False)
+        for t in all_tuples(3, 3):
+            assert p.value(tuple(t[o] for o in order)) == b.value(t)
+    c = s4.algebra.bracket
+    assert c.permute((1, 0, 2)) == c.transform([None] * 3, out_map=Matrix.identity(4).scale(-1))
+    for order in ((0, 1), (0, 1, 1), (0, 1, 3)):
+        with pytest.raises(ValueError, match="does not reorder"):
+            b.permute(order)
+
+
+def test_combine_sums_and_cancels(ex1, s4):
+    b = ex1.algebra.bracket
+    assert BracketTensor.combine([(1, b), (-1, b)]).coeffs == {}
+    twice = BracketTensor.combine([(F(1, 2), b), (F(3, 2), b)])
+    assert twice == b.transform([None] * 3, out_map=Matrix.identity(3).scale(2))
+    skew = s4.algebra.bracket          # skew storage takes part expanded
+    assert BracketTensor.combine([(1, skew), (1, skew.permute((1, 0, 2)))]).coeffs == {}
+    for terms in ([], [(1, b), (1, skew)]):
+        with pytest.raises(ValueError, match="one shape"):
+            BracketTensor.combine(terms)
+
+
 def test_adjoint_operator(s4):
     a = s4.algebra
-    L = adjoint_of_basis_tuple(a, (0, 1))
+    L = adjoint_operator(a, [Vector.basis(4, 0), Vector.basis(4, 1)])
     assert L.col(2) == Vector.basis(4, 3)
     assert L.col(3) == -Vector.basis(4, 2)
-    L2 = adjoint_operator(a, [Vector.basis(4, 0), Vector.basis(4, 1)])
-    assert L == L2
+    assert L == Matrix.from_columns([a.bracket.value((0, 1, j)) for j in range(4)])
 
 
 def test_bilinear_form():

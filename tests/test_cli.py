@@ -135,18 +135,56 @@ def test_max_tuples_budget(capsys):
 
 def test_max_tuples_budget_applies_at_load(capsys, tmp_path):
     """A6 claims multiplicativity; the check that runs while the file loads
-    needs 6^5 tuples and exceeds the budget before any selector runs."""
+    needs 6^5 tuples and exceeds the budget before any selector runs;
+    ``report`` gives the file an error row instead."""
     path = tmp_path / "A6.json"
     fileio.save(filippov(6), path)
     want = "tuple budget exceeded: check needs 7776 basis tuples, budget is 10\n"
     for argv in (["verify", str(path)], ["verify", str(path), "nambu"],
-                 ["solve", str(path), "center"], ["report", str(path)],
+                 ["solve", str(path), "center"],
                  ["construct", "self-twist", str(path), "-o", str(tmp_path / "out.json")]):
         code, out, err = run(capsys, "--max-tuples", "10", *argv)
         assert (code, out, err) == (1, "", want), argv
     assert not (tmp_path / "out.json").exists()
+    code, out, err = run(capsys, "--max-tuples", "10", "report", str(path))
+    assert (code, err) == (1, "")
+    assert out.splitlines()[1].split()[1:] == [
+        "error", "-", "-", *"check needs 7776 basis tuples, budget is 10".split(),
+        "-", "-", "-"]
     code, _, _ = run(capsys, "--max-tuples", "7776", "verify", str(path), "multiplicative")
     assert code == 0
+
+
+def test_report_over_budget_file_gets_its_own_row(capsys, tmp_path):
+    """One file over the budget does not abort the table: the others still
+    get their rows, and the command exits 1."""
+    path = tmp_path / "A4.json"
+    fileio.save(filippov(4), path)
+    code, out, err = run(capsys, "--max-tuples", "10", "report", str(path),
+                         cp("example1"), cp("zero2"))
+    assert (code, err) == (1, "")
+    rows = [line.split() for line in out.splitlines()]
+    assert len(rows) == 4
+    assert rows[1][:5] == [str(path), "error", "-", "-", "check"]
+    assert " ".join(rows[1][4:-3]) == "check needs 64 basis tuples, budget is 10"
+    assert rows[2][:2] == [cp("example1"), "error"]      # 27 tuples at load
+    assert rows[3][:5] == [cp("zero2"), "hom_nambu", "2", "2", "pass"]
+
+
+@pytest.mark.parametrize("construction", ["leibniz", "tstar"])
+def test_constructions_honour_budget(capsys, tmp_path, construction):
+    """A4 loads within 100 tuples (multiplicativity needs 64), but the
+    checks on the output need more: no file is written."""
+    src, dst = tmp_path / "A4.json", tmp_path / "out.json"
+    fileio.save(filippov(4), src)
+    code, out, err = run(capsys, "--max-tuples", "100", "construct", construction,
+                         str(src), "-o", str(dst))
+    need = 16 ** 3 if construction == "leibniz" else 8 ** 3
+    assert (code, out) == (1, "")
+    assert err == f"tuple budget exceeded: check needs {need} basis tuples, budget is 100\n"
+    assert not dst.exists()
+    code, _, _ = run(capsys, "construct", construction, str(src), "-o", str(dst))
+    assert code == 0 and dst.exists()
 
 
 def test_construct_raise_honours_budget(capsys, tmp_path):

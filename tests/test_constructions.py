@@ -83,9 +83,9 @@ def test_induced_hom_leibniz(ex1):
     a = ex1.algebra
     alpha = a.twist
     u, v = (0, 1), (2, 0)
-    from nambucat.algebra import adjoint_of_basis_tuple
+    from nambucat.algebra import adjoint_operator
     from nambucat.linalg import kron_vec
-    L = adjoint_of_basis_tuple(a, u)
+    L = adjoint_operator(a, [Vector.basis(3, i) for i in u])
     expected = kron_vec(L.col(2), alpha.col(0)) \
         + kron_vec(alpha.col(2), L.col(0))
     assert lb.bracket.value((0 * 3 + 1, 2 * 3 + 0)) == expected

@@ -1,5 +1,7 @@
 """Metamorphic tests: a random invertible rational change of basis P keeps
-every verdict and every structure-space dimension.
+every verdict and every structure-space dimension, the verdicts of both
+representation identities on the adjoint action and of the form intertwiner
+included.
 
 In the new basis the bracket is P^-1 C(P., ..., P.), each twist P^-1 a P,
 the form P^T G P and the form twist P^-1 beta P.
@@ -14,8 +16,10 @@ from conftest import filippov
 from nambucat import (BilinearForm, BracketTensor, HomNambuAlgebra, Matrix,
                       QuadraticStructure, Vector, corpus)
 from nambucat.checks import (check_hom_nambu_identity, check_multiplicativity,
-                             check_quadratic, check_skew_symmetry)
+                             check_quadratic, check_representation,
+                             check_skew_symmetry)
 from nambucat.linalg import det, solve_matrix
+from nambucat.representations import adjoint_rep, rep_isomorphism_psi
 from nambucat.spaces import (compute_center, compute_centroid,
                              compute_derivations)
 
@@ -71,6 +75,13 @@ def _dim(solve, *args):
         return None
 
 
+def _psi(q):
+    try:
+        return rep_isomorphism_psi(q)[1].passed
+    except ValueError:      # degenerate form
+        return None
+
+
 def _invariants(q):
     a = q.algebra
     return {
@@ -78,6 +89,9 @@ def _invariants(q):
         "skew_symmetry": check_skew_symmetry(a).passed,
         "multiplicativity": check_multiplicativity(a).passed,
         "quadratic": check_quadratic(q).passed,
+        **{f"representation_{mode}": check_representation(a, adjoint_rep(a), mode).passed
+           for mode in ("primal", "dual")},
+        "rep_isomorphism": _psi(q),
         "center": _dim(compute_center, a),
         **{f"{solve.__name__} {k}": _dim(solve, a, k)
            for solve in (compute_centroid, compute_derivations) for k in (-1, 0, 1)},
