@@ -186,6 +186,24 @@ class BracketTensor:
                              {tuple(t[o] for o in order): v for t, v in self.dense_items()},
                              vdim=self.vdim)
 
+    def swap_output(self, slot: int) -> "BracketTensor":
+        """The tensor with one slot and the output coordinate exchanged:
+        coordinate r of the entry at key t becomes coordinate ``t[slot]`` of
+        the entry at t with slot ``slot`` set to r.  Needs ``vdim == dim``;
+        applied twice it gives the tensor back.  The result has dense storage."""
+        if not 0 <= slot < self.arity:
+            raise ValueError(f"no slot {slot} in an arity-{self.arity} tensor")
+        if self.vdim != self.dim:
+            raise ValueError("swap_output needs vdim == dim")
+        acc: Dict[Tuple[int, ...], List[Fraction]] = {}
+        for t, v in self.dense_items():
+            for r, c in enumerate(v.entries):
+                if c:
+                    key = t[:slot] + (r,) + t[slot + 1:]
+                    acc.setdefault(key, [Fraction(0)] * self.dim)[t[slot]] = c
+        return BracketTensor(self.dim, self.arity,
+                             {key: Vector(row) for key, row in acc.items()})
+
     @classmethod
     def combine(cls, terms: Sequence[Tuple[int, "BracketTensor"]]) -> "BracketTensor":
         """The sum of c * T over the (c, T) pairs, which share dim, arity and

@@ -11,7 +11,7 @@ import argparse
 import json
 import os
 import sys
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from . import constructions, faulkner, fileio, spaces
 from .algebra import (BilinearForm, HomAssocNAry, HomLeibnizAlgebra,
@@ -26,6 +26,9 @@ from .fileio import FileFormatError, FlagVerificationError
 from .linalg import rank
 
 SELECTORS = ("nambu", "skew", "multiplicative", "quadratic", "leibniz", "assoc")
+# the identity of each check a file's flags may trigger while it loads
+LOAD_IDENTITIES = {"nambu": "hom_nambu_identity", "skew": "skew_symmetry",
+                   "multiplicative": "multiplicativity", "quadratic": "quadratic"}
 
 
 def _applicable(obj, defaults: bool = False) -> List[str]:
@@ -49,7 +52,13 @@ def _applicable(obj, defaults: bool = False) -> List[str]:
     raise FileFormatError(f"cannot verify a {type(obj).__name__}")
 
 
-def _run_check(obj, selector: str, max_tuples: Optional[int]) -> CheckReport:
+def _run_check(obj, selector: str, max_tuples: Optional[int],
+               loaded: Dict[str, CheckReport]) -> CheckReport:
+    """The selector's report; a check that ran while the file loaded (with
+    ``loaded`` its reports by identity) is reused, not run again."""
+    done = loaded.get(LOAD_IDENTITIES.get(selector))
+    if done is not None:
+        return done
     if isinstance(obj, QuadraticLieAlgebra):
         algebra, quad = obj.algebra, QuadraticStructure(obj.algebra, obj.form)
     elif isinstance(obj, QuadraticStructure):
@@ -102,7 +111,7 @@ def _emit_reports(path: str, reports: List[CheckReport], fmt: str) -> None:
 
 
 def cmd_verify(args) -> int:
-    obj = fileio.load(args.file, max_tuples=args.max_tuples)
+    obj, loaded = fileio.load_checked(args.file, args.max_tuples)
     selectors = args.selectors or _applicable(obj, defaults=True)
     applicable = _applicable(obj)
     reports = []
@@ -111,7 +120,7 @@ def cmd_verify(args) -> int:
             raise UsageError(f"unknown selector {s!r} (choose from {', '.join(SELECTORS)})")
         if s not in applicable:
             raise UsageError(f"selector {s!r} does not apply to this file kind")
-        reports.append(_run_check(obj, s, args.max_tuples))
+        reports.append(_run_check(obj, s, args.max_tuples, loaded))
     _emit_reports(args.file, reports, args.format)
     return 0 if all(_report_ok(r) for r in reports) else 1
 
@@ -258,10 +267,10 @@ def cmd_report(args) -> int:
     rows = []
     for path in args.files:
         try:
-            obj = fileio.load(path, max_tuples=args.max_tuples)
+            obj, loaded = fileio.load_checked(path, args.max_tuples)
             a = obj.algebra if isinstance(obj, (QuadraticStructure, QuadraticLieAlgebra)) \
                 else obj
-            checks = [_run_check(obj, s, args.max_tuples)
+            checks = [_run_check(obj, s, args.max_tuples, loaded)
                       for s in _applicable(obj, defaults=True)]
             ok = all(_report_ok(r) for r in checks)
             if not ok:

@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import (BilinearForm, BracketTensor, HomAssocNAry,
                       HomLeibnizAlgebra, HomNambuAlgebra, QuadraticStructure,
-                      all_tuples, tuple_position)
+                      tuple_position)
 from .checks import (CheckReport, check_hom_leibniz, check_hom_nambu_identity,
                      check_morphism, check_multiplicativity, check_quadratic,
                      check_skew_symmetry)
@@ -134,11 +134,10 @@ def tensor_product(h: HomAssocNAry, a: HomNambuAlgebra,
     for i in range(n - 1):
         if h.twists[i].T @ ga != ga @ h.twists[i]:
             raise ConstructionError(f"first factor form not symmetric w.r.t. twist {i + 1}")
-    for t in all_tuples(da, n - 1):
-        # mu(t_1..t_{n-1}, .) as an operator, invariance twisted by beta_h
-        op = Matrix.from_columns([h.mu.value(t + (j,)) for j in range(da)])
-        if op.T @ ga @ beta_h != beta_h.T @ ga @ op:
-            raise ConstructionError("first factor form is not beta-invariant for the product")
+    # W(t, i)_j = B(mu(t, e_i), beta e_j) must be symmetric in (i, j)
+    W = h.mu.transform([None] * n, out_map=beta_h.T @ ga)
+    if W != W.swap_output(n - 1):
+        raise ConstructionError("first factor form is not beta-invariant for the product")
     _require(check_quadratic(form_a, max_tuples), "second factor quadratic structure")
     beta_a = form_a.beta if form_a.beta is not None else Matrix.identity(dn)
     big_form = BilinearForm(da * dn, kron(ga, form_a.form.gram))

@@ -1,16 +1,22 @@
 """From a quadratic Lie algebra to a Leibniz bracket on g tensor g* and to a
-ternary quadratic bracket, with an optional involution twisting both."""
+ternary quadratic bracket, with an optional involution twisting both.
+
+Everything is built from the bracket's nonzero entries.  Exchanging the
+first slot of the bracket C with its output (``swap_output``) gives the
+coadjoint action D, and phi is D with the inverse Gram matrix on its output.
+The ternary bracket, the tensor Leibniz bracket and both sides of phi's
+equivariance are then substitutions of phi into C and D.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
 from .algebra import (BilinearForm, BracketTensor, HomLeibnizAlgebra,
                       HomNambuAlgebra, QuadraticStructure)
-from .checks import (CheckReport, Counterexample, check_hom_leibniz,
+from .checks import (CheckReport, _compare, check_hom_leibniz,
                      check_hom_nambu_identity, check_morphism,
                      check_multiplicativity, check_quadratic,
                      check_skew_symmetry)
@@ -43,68 +49,48 @@ class QuadraticLieAlgebra:
                 check_quadratic(QuadraticStructure(self.algebra, self.form), max_tuples)]
 
 
-@lru_cache(maxsize=None)
-def _gram_inverse(gram: Matrix) -> Matrix:
-    inv = solve_matrix(gram, Matrix.identity(gram.rows))
-    if inv is None:
-        raise ValueError("form must be nondegenerate")
-    return inv
+def _actions(g: QuadraticLieAlgebra) -> Tuple[BracketTensor, BracketTensor]:
+    """The coadjoint action D and the map phi, both keyed (x, f) with f on
+    the dual basis.  D(e_a, e_l)_m = [e_m, e_a]_l, so (v . f)(y) = f([y, v])
+    = -f([v, y]): this is the sign the equivariance of phi forces.  phi is
+    G^-1 D, so that B(phi(x (x) f), w) = f([w, x])."""
+    D = g.algebra.bracket.swap_output(0).permute((1, 0))
+    return D, D.transform([None, None],
+                          out_map=solve_matrix(g.form.gram, Matrix.identity(g.dim)))
 
 
 def phi_map(g: QuadraticLieAlgebra, x: Vector, f: Vector) -> Vector:
     """The element phi(x (x) f) of g defined by B(phi, w) = f([w, x]); the
     dual vector f is given by its coordinates on the dual basis."""
-    d = g.dim
-    r = [sum((f[s] * v for s, v in enumerate(g.algebra.bracket.eval(
-        [Vector.basis(d, i), x]).entries)), Fraction(0)) for i in range(d)]
-    return _gram_inverse(g.form.gram).apply(Vector(r))
-
-
-def _dual_action(g: QuadraticLieAlgebra, v: Vector, f: Vector) -> Vector:
-    """Coordinates of the coadjoint action (v . f)(y) = f([y, v]) = -f([v, y]);
-    this is the sign the equivariance of phi forces."""
-    d = g.dim
-    out = []
-    for m in range(d):
-        w = g.algebra.bracket.eval([Vector.basis(d, m), v])
-        out.append(sum((f[s] * ws for s, ws in enumerate(w.entries)), Fraction(0)))
-    return Vector(out)
-
-
-def _phi_table(g: QuadraticLieAlgebra) -> List[List[Vector]]:
-    d = g.dim
-    return [[phi_map(g, Vector.basis(d, i), Vector.basis(d, j))
-             for j in range(d)] for i in range(d)]
+    return _actions(g)[1].eval([x, f])
 
 
 def tensor_leibniz(g: QuadraticLieAlgebra, verify: bool = True,
                    max_tuples: Optional[int] = None) -> HomLeibnizAlgebra:
     """Leibniz bracket on g (x) g*: phi of the first argument acts on both
-    factors of the second by the adjoint and coadjoint actions."""
+    factors of the second by the adjoint and coadjoint actions.  Basis
+    element e_k (x) e^l has index k * d + l."""
     d = g.dim
-    phi = _phi_table(g)
-    items: Dict[Tuple[int, ...], Vector] = {}
-    for i in range(d):
-        for j in range(d):
-            v = phi[i][j]
-            if v.is_zero():
-                continue
-            # action on the first factor: [phi, e_k]
-            act = Matrix.from_columns(
-                [g.algebra.bracket.eval([v, Vector.basis(d, k)]) for k in range(d)])
-            for k in range(d):
+    D, phi = _actions(g)
+    items: Dict[Tuple[int, int], List[Fraction]] = {}
+
+    def add(key: Tuple[int, int], r: int, c: Fraction) -> None:
+        items.setdefault(key, [Fraction(0)] * (d * d))[r] += c
+
+    # [phi(e_i (x) e^j), e_k] (x) e^l
+    for (i, j, k), v in g.algebra.bracket.substitute(0, phi).coeffs.items():
+        for m, c in enumerate(v.entries):
+            if c:
                 for l in range(d):
-                    coeffs = [Fraction(0)] * (d * d)
-                    w = act.col(k)
-                    for m in range(d):
-                        coeffs[m * d + l] += w[m]
-                    dual = _dual_action(g, v, Vector.basis(d, l))
-                    for m in range(d):
-                        coeffs[k * d + m] += dual[m]
-                    if any(coeffs):
-                        items[(i * d + j, k * d + l)] = Vector(coeffs)
-    out = HomLeibnizAlgebra(d * d, BracketTensor(d * d, 2, items),
-                            Matrix.identity(d * d))
+                    add((i * d + j, k * d + l), m * d + l, c)
+    # e_k (x) (phi(e_i (x) e^j) . e^l)
+    for (i, j, l), v in D.substitute(0, phi).coeffs.items():
+        for m, c in enumerate(v.entries):
+            if c:
+                for k in range(d):
+                    add((i * d + j, k * d + l), k * d + m, c)
+    bracket = BracketTensor(d * d, 2, {key: Vector(row) for key, row in items.items()})
+    out = HomLeibnizAlgebra(d * d, bracket, Matrix.identity(d * d))
     if verify:
         _require(check_hom_leibniz(out, max_tuples), "tensor Leibniz algebra")
     return out
@@ -112,25 +98,14 @@ def tensor_leibniz(g: QuadraticLieAlgebra, verify: bool = True,
 
 def check_phi_equivariance(g: QuadraticLieAlgebra) -> CheckReport:
     """[phi(x,f), phi(y,h)] = phi([phi(x,f),y], h) + phi(y, phi(x,f).h) over
-    all basis choices."""
-    d = g.dim
-    phi = _phi_table(g)
-    count = 0
-    for i in range(d):
-        for j in range(d):
-            p = phi[i][j]
-            for k in range(d):
-                for l in range(d):
-                    count += 1
-                    ek, el = Vector.basis(d, k), Vector.basis(d, l)
-                    left = g.algebra.bracket.eval([p, phi[k][l]])
-                    right = (phi_map(g, g.algebra.bracket.eval([p, ek]), el)
-                             + phi_map(g, ek, _dual_action(g, p, el)))
-                    if left != right:
-                        return CheckReport("phi_equivariance", False,
-                                           Counterexample((i, j, k, l), left, right),
-                                           count)
-    return CheckReport("phi_equivariance", True, None, count)
+    all basis choices, as two tensors keyed (x, f, y, h)."""
+    D, phi = _actions(g)
+    act = g.algebra.bracket.substitute(0, phi)      # [phi(x, f), y], keyed (x, f, y)
+    # phi(y, phi(x, f) . h) is keyed (y, x, f, h) before the reorder
+    right = BracketTensor.combine(
+        [(1, phi.substitute(0, act)),
+         (1, phi.substitute(1, D.substitute(0, phi)).permute([1, 2, 0, 3]))])
+    return _compare("phi_equivariance", g.dim, 4, act.substitute(2, phi), right)
 
 
 def omega_twist_leibniz(g: QuadraticLieAlgebra, alpha: Matrix,
@@ -172,27 +147,10 @@ def faulkner_ternary(g: QuadraticLieAlgebra, alpha: Optional[Matrix] = None,
     into a Hom-quadratic ternary structure."""
     d = g.dim
     gram = g.form.gram
-
-    def tmap(i: int, j: int) -> Vector:
-        return phi_map(g, Vector.basis(d, i), gram.apply(Vector.basis(d, j)))
-
-    tvals = [[tmap(i, j) for j in range(d)] for i in range(d)]
-    for i in range(d):
-        for j in range(d):
-            if tvals[i][j] != -tvals[j][i]:
-                raise ConstructionError("T is not antisymmetric")
-
-    items: Dict[Tuple[int, ...], Vector] = {}
-    for i in range(d):
-        for j in range(d):
-            t = tvals[i][j]
-            if t.is_zero():
-                continue
-            for k in range(d):
-                v = g.algebra.bracket.eval([t, Vector.basis(d, k)])
-                if not v.is_zero():
-                    items[(i, j, k)] = v
-    bracket = BracketTensor(d, 3, items)
+    T = _actions(g)[1].transform([None, gram])      # T(x (x) y) = phi(x (x) By)
+    if T != BracketTensor.combine([(-1, T.permute((1, 0)))]):
+        raise ConstructionError("T is not antisymmetric")
+    bracket = g.algebra.bracket.substitute(0, T)
     if alpha is None:
         tern = HomNambuAlgebra(d, 3, bracket, (Matrix.identity(d),) * 2)
         tern = _verified_flags(tern, max_tuples=max_tuples)

@@ -155,6 +155,13 @@ def dumps_document(doc: dict) -> str:
 
 def from_document(doc: dict, verify: bool = True,
                   max_tuples: Optional[int] = None) -> AlgebraLike:
+    return _decode(doc, verify, max_tuples, {})
+
+
+def _decode(doc: dict, verify: bool, max_tuples: Optional[int],
+            reports: Dict[str, CheckReport]) -> AlgebraLike:
+    """The algebra a document describes; the reports of the flag checks it
+    runs are put in ``reports`` by identity."""
     if not isinstance(doc, dict):
         raise FileFormatError("top level must be a JSON object")
     version = doc.get("schema_version")
@@ -210,7 +217,7 @@ def from_document(doc: dict, verify: bool = True,
     a = HomNambuAlgebra(dim, arity, tensor, twists,
                         skew=claim_skew, multiplicative=claim_mult)
     if verify and claim_mult:
-        r = check_multiplicativity(a, max_tuples)
+        r = reports["multiplicativity"] = check_multiplicativity(a, max_tuples)
         if not r.passed:
             raise FlagVerificationError("claimed multiplicative flag failed verification", r)
     if kind == "quadratic_lie":
@@ -221,6 +228,7 @@ def from_document(doc: dict, verify: bool = True,
         g = QuadraticLieAlgebra(a, form)
         if verify:
             for r in g.validate(max_tuples):
+                reports[r.identity] = r
                 if not r.passed:
                     raise FlagVerificationError(
                         f"quadratic Lie algebra failed {r.identity}", r)
@@ -249,6 +257,15 @@ def load(path, verify: bool = True, max_tuples: Optional[int] = None) -> Algebra
     """Read an algebra file; the flag checks it triggers honour ``max_tuples``."""
     with open(path) as fh:
         return loads(fh.read(), verify=verify, max_tuples=max_tuples)
+
+
+def load_checked(path, max_tuples: Optional[int] = None
+                 ) -> Tuple[AlgebraLike, Dict[str, CheckReport]]:
+    """``load`` with verification, returning as well the reports of the flag
+    checks that ran while the file loaded, keyed by identity, so that a caller
+    can reuse them rather than run the same checks again."""
+    reports: Dict[str, CheckReport] = {}
+    return _decode(load_document(path), True, max_tuples, reports), reports
 
 
 def load_document(path) -> dict:

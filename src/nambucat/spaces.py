@@ -136,14 +136,11 @@ def derivation_membership(a: HomNambuAlgebra, big_d: Matrix, k: int) -> CheckRep
         return CheckReport("derivation_membership", False, None, 0,
                            detail="candidate does not commute with the twist")
     pw = _twist_power(a, k)
-    right: Dict[Tuple[int, ...], Vector] = {}
-    for i in range(n):
-        pattern = a.bracket.transform([pw if j != i else big_d for j in range(n)])
-        for t, v in pattern.coeffs.items():
-            right[t] = right[t] + v if t in right else v
+    right = BracketTensor.combine(
+        [(1, a.bracket.transform([pw if j != i else big_d for j in range(n)]))
+         for i in range(n)])
     return _compare("derivation_membership", d, n,
-                    a.bracket.transform([None] * n, out_map=big_d),
-                    BracketTensor(d, n, right))     # drops terms that cancelled
+                    a.bracket.transform([None] * n, out_map=big_d), right)
 
 
 def inner_derivation(a: HomNambuAlgebra, x: Sequence[Vector], k: int) -> Matrix:

@@ -19,6 +19,7 @@ from conftest import filippov
 from nambucat import (BilinearForm, BracketTensor, HomAssocNAry,
                       HomLeibnizAlgebra, HomNambuAlgebra, Matrix,
                       QuadraticStructure, TupleBudgetExceeded, Vector, corpus)
+from nambucat import fileio
 from nambucat.checks import (check_hom_leibniz, check_hom_nambu_identity,
                              check_morphism, check_multiplicativity,
                              check_quadratic, check_skew_symmetry,
@@ -142,6 +143,44 @@ def test_skew_claims_on_dense_storage_match_oracle(name):
     else:
         a = _algebra(corpus.load(name))
     _same(check_hom_nambu_identity, oracle.hom_nambu_identity, _dense(a))
+
+
+def _skew_storage_algebras():
+    """Skew storage made each way it can be: ``skew_from_entries`` (given
+    every signed permutation, or one entry per orbit in any order), a
+    skew-claimed file load with unsorted entries, and ``skew_canonical``."""
+    out = []
+    for a in [filippov(4), filippov(5)] + [
+            _algebra(corpus.load(n)) for n in ("sl2", "simple3lie4", "example2", "heisenberg3", "zero3")]:
+        items = dict(a.bracket.dense_items())
+        reversed_keys = {t[::-1]: v for t, v in items.items() if t == tuple(sorted(t))}
+        out += [BracketTensor.skew_from_entries(a.dim, a.arity, items),
+                BracketTensor.skew_from_entries(a.dim, a.arity, reversed_keys),
+                BracketTensor(a.dim, a.arity, items).skew_canonical()]
+    doc = {"schema_version": 1, "kind": "hom_nambu", "dim": 3, "arity": 2,
+           "bracket": [{"inputs": [2, 1], "output": ["0", "0", "-1"]},
+                       {"inputs": [3, 1], "output": ["2", "0", "0"]},
+                       {"inputs": [2, 3], "output": ["0", "2", "0"]}],
+           "twists": [[["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]],
+           "flags": {"skew": True}}
+    out.append(fileio.from_document(doc).bracket)
+    out.append(fileio.loads(fileio.dumps(filippov(5))).bracket)
+    return out
+
+
+@pytest.mark.parametrize("C", _skew_storage_algebras(), ids=repr)
+def test_skew_storage_passes_the_oracle(C):
+    """``check_skew_symmetry`` returns its verdict on skew storage without
+    expanding it; every way of making skew storage must give a tensor the
+    tuple-by-tuple oracle passes, with the same report and budget."""
+    assert C.skew_storage
+    a = HomNambuAlgebra(C.dim, C.arity, C, (Matrix.identity(C.dim),) * (C.arity - 1))
+    assert oracle.skew_symmetry(a).passed
+    _same(check_skew_symmetry, oracle.skew_symmetry, a)
+    need = C.dim ** C.arity
+    for check in (check_skew_symmetry, oracle.skew_symmetry):
+        with pytest.raises(TupleBudgetExceeded, match=f"needs {need} "):
+            check(a, need - 1)
 
 
 @pytest.fixture(scope="module")

@@ -1,12 +1,13 @@
 """End-to-end exercises of the command-line interface."""
 
+import collections
 import json
 from pathlib import Path
 
 import pytest
 
 from conftest import filippov
-from nambucat import corpus, fileio
+from nambucat import checks, cli, corpus, faulkner, fileio
 from nambucat.cli import main
 
 
@@ -115,6 +116,63 @@ def test_verify_false_flag_claim(capsys, tmp_path):
                       (inconsistent, "inconsistent skew data at (0, 1, 2)")):
         assert run(capsys, "verify", str(path)) == (
             1, "", f"verification failure: claimed skew flag is inconsistent: {why}\n")
+
+
+LOAD_CHECKS = ("check_hom_nambu_identity", "check_skew_symmetry",
+               "check_multiplicativity", "check_quadratic")
+
+
+def _count_checks(monkeypatch) -> collections.Counter:
+    """Count the calls of the checks a file load may run, wherever they are
+    called from."""
+    calls = collections.Counter()
+    for name in LOAD_CHECKS:
+        fn = getattr(checks, name)
+
+        def counted(*args, _fn=fn, _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        for mod in (cli, fileio, faulkner):
+            if getattr(mod, name, None) is fn:
+                monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("name, expected", [
+    ("simple3lie4", ["hom_nambu_identity", "skew_symmetry", "multiplicativity", "quadratic"]),
+    ("sl2", ["hom_nambu_identity", "skew_symmetry", "quadratic"])])
+def test_verify_and_report_run_each_check_once(capsys, monkeypatch, name, expected):
+    """A check that ran while the file loaded is reused by its selector, with
+    the same report as a fresh run."""
+    obj = corpus.load(name)
+    fresh = [cli._run_check(obj, s, None, {}).to_json()
+             for s in cli._applicable(obj, defaults=True)]
+    calls = _count_checks(monkeypatch)
+    code, out, _ = run(capsys, "verify", cp(name))
+    assert code == 0 and json.loads(out)["reports"] == fresh
+    assert [r["identity"] for r in fresh] == expected
+    assert set(calls.values()) == {1}
+    assert calls["check_multiplicativity"] == 1     # both files claim it
+    calls.clear()
+    code, out, _ = run(capsys, "report", cp(name), cp(name))
+    assert code == 0 and out.count(" pass ") == 2
+    assert set(calls.values()) == {2}
+
+
+def test_false_claim_runs_its_check_once(capsys, monkeypatch, tmp_path):
+    doc = fileio.load_document(cp("example2"))
+    doc["flags"]["multiplicative"] = True
+    lied = tmp_path / "lied.json"
+    lied.write_text(json.dumps(doc))
+    calls = _count_checks(monkeypatch)
+    code, out, err = run(capsys, "verify", str(lied))
+    assert (code, out) == (1, "")
+    assert err.startswith("verification failure: claimed multiplicative flag failed "
+                          "verification\n{")
+    assert calls == {"check_multiplicativity": 1}
+    code, out, _ = run(capsys, "report", str(lied))
+    assert code == 1 and "claimed multiplicative flag failed verification" in out
+    assert calls == {"check_multiplicativity": 2}
 
 
 def test_verify_inapplicable_selector(capsys):
