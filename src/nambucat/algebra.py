@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .linalg import Matrix, Vector
+from .linalg import Matrix, Vector, det
 
 
 def perm_sign(perm: Sequence[int]) -> int:
@@ -37,6 +37,10 @@ def perm_sign(perm: Sequence[int]) -> int:
         if length % 2 == 0:
             sign = -sign
     return sign
+
+
+def is_increasing(t: Sequence[int]) -> bool:
+    return all(p < q for p, q in zip(t, t[1:]))
 
 
 def sort_with_sign(idx: Tuple[int, ...]) -> Tuple[Optional[Tuple[int, ...]], int]:
@@ -127,6 +131,22 @@ class BracketTensor:
             else:
                 self._dense = sorted(self.coeffs.items())
         return self._dense
+
+    def free_slot_items(self, slot: int) -> List[Tuple[Tuple[int, ...], Vector]]:
+        """The nonzero entries (t, value) whose slots other than ``slot``
+        strictly increase.  On skew storage they are read off the stored keys
+        without expanding them: stored key K gives one entry per position p,
+        with K[p] moved to ``slot`` and sign (-1)^(p - slot)."""
+        if not self.skew_storage:
+            return [(t, v) for t, v in self.coeffs.items()
+                    if is_increasing(t[:slot] + t[slot + 1:])]
+        out = []
+        for key, vec in self.coeffs.items():
+            neg = -vec
+            for p, k in enumerate(key):
+                rest = key[:p] + key[p + 1:]
+                out.append((rest[:slot] + (k,) + rest[slot:], neg if (p - slot) % 2 else vec))
+        return out
 
     def eval(self, args: Sequence[Vector]) -> Vector:
         """Multilinear extension: the arguments substituted slot by slot
@@ -224,9 +244,14 @@ class BracketTensor:
 
         ``slot_maps[k]`` is the linear map applied to argument k (None for
         identity). Slot maps are ``dim x d'`` with one shared ``d'``, and the
-        result is a dense-storage tensor on ``d'``-dimensional arguments whose
-        value on a basis tuple j is the bracket evaluated on the mapped basis
-        vectors. Identity maps are skipped like None.
+        result is a tensor on ``d'``-dimensional arguments whose value on a
+        basis tuple j is the bracket evaluated on the mapped basis vectors.
+        Identity maps are skipped like None.
+
+        Skew storage with one map M in every slot stays skew: the value on
+        increasing J is the sum over stored keys K of det(M[K, J]) times the
+        value at K, with J over the columns M has nonzero on rows K.  Any
+        other case gives dense storage.
         """
         if len(slot_maps) != self.arity:
             raise ValueError("need one map per slot")
@@ -235,6 +260,33 @@ class BracketTensor:
         if len(widths) > 1 or any(m is not None and m.rows != self.dim for m in maps):
             raise ValueError("slot map has wrong shape")
         (width,) = widths
+        skew = self.skew_storage and all(m == maps[0] for m in maps[1:])
+        if skew:
+            items = self.coeffs if maps[0] is None else self._minors(maps[0])
+        else:
+            items = self._apply_slot_maps(maps, width)
+        vdim = self.vdim
+        if out_map is not None and not _is_identity(out_map, vdim):
+            items = {key: out_map.apply(vec) for key, vec in items.items()}
+            vdim = out_map.rows
+        return BracketTensor(width, self.arity, items, skew_storage=skew, vdim=vdim)
+
+    def _minors(self, m: Matrix) -> Dict[Tuple[int, ...], Vector]:
+        """Increasing-key values of a skew-storage tensor with m in every slot."""
+        n = self.arity
+        acc: Dict[Tuple[int, ...], List[Fraction]] = {}
+        for key, vec in self.coeffs.items():
+            rows = [m.entries[i * m.cols:(i + 1) * m.cols] for i in key]
+            support = sorted({j for row in rows for j, x in enumerate(row) if x})
+            for cols in itertools.combinations(support, n):
+                c = det(Matrix(n, n, [row[j] for row in rows for j in cols]))
+                if c:
+                    add_scaled(acc, cols, c, vec.entries)
+        return {key: Vector(v) for key, v in acc.items()}
+
+    def _apply_slot_maps(self, maps: Sequence[Optional[Matrix]],
+                         width: int) -> Dict[Tuple[int, ...], Vector]:
+        """Every entry with each non-None map applied to its slot in turn."""
         items = dict(self.dense_items())
         for k, m in enumerate(maps):
             if m is None:
@@ -248,11 +300,7 @@ class BracketTensor:
                         continue
                     add_scaled(nxt, idx[:k] + (j,) + idx[k + 1:], c, vec.entries)
             items = {key: Vector(v) for key, v in nxt.items()}
-        vdim = self.vdim
-        if out_map is not None and not _is_identity(out_map, vdim):
-            items = {key: out_map.apply(vec) for key, vec in items.items()}
-            vdim = out_map.rows
-        return BracketTensor(width, self.arity, items, vdim=vdim)
+        return items
 
     def skew_canonical(self) -> "BracketTensor":
         """Re-store a (verified skew) tensor with increasing-tuple storage."""
@@ -287,7 +335,9 @@ def add_scaled(acc: Dict[Tuple[int, ...], List[Fraction]], key: Tuple[int, ...],
 
 
 def _is_identity(m: Matrix, n: int) -> bool:
-    return m.rows == m.cols == n and m == Matrix.identity(n)
+    """m is the n x n identity, read off its entries without building one."""
+    return m.rows == m.cols == n and all(
+        x == (1 if k % (n + 1) == 0 else 0) for k, x in enumerate(m.entries))
 
 
 def _common_twist(twists: Tuple[Matrix, ...]) -> Matrix:

@@ -14,12 +14,14 @@ For verified skew brackets the fundamental-identity check decides only the
 strictly increasing tuples: both sides of the identity are alternating
 multilinear in the x-block and the y-block, so increasing tuples span all
 cases and the cost drops combinatorially.  It builds both sides from nonzero
-entries only, as does the representation identity, whose sides are an
-operator product of two tensors and a sum of substitutions with their slots
-reordered by ``permute``.  Invariance of a form is the sum of one tensor and
-its ``swap_output`` in the last slot, which must vanish.  On skew storage
-the skew-symmetry check passes without expanding the tensor, since that
-storage is alternating by construction.
+entries only, reading the bracket and its twisted copies through
+``free_slot_items``, so skew storage is never expanded; so does the
+representation identity, whose sides are an operator product of two tensors
+and a sum of substitutions with their slots reordered by ``permute``.
+Invariance of a form is the sum of one tensor and its ``swap_output`` in the
+last slot, which must vanish.  On skew storage the skew-symmetry check
+passes without expanding the tensor, since that storage is alternating by
+construction, and two skew-storage tensors are compared on their stored keys.
 
 One loop over all tuples is left: the fundamental identity without a skew
 claim.  The same construction would make it about three times faster, but
@@ -36,7 +38,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import (BracketTensor, HomAssocNAry, HomLeibnizAlgebra,
                       HomNambuAlgebra, QuadraticStructure, add_scaled, all_tuples,
-                      tuple_position)
+                      is_increasing, tuple_position)
 from .linalg import Matrix, Vector, frac_str, kron, rank
 
 
@@ -114,8 +116,15 @@ def _compare(identity: str, d: int, n: int, left, right,
 
     Only stored keys are visited. A failure reports the first differing
     tuple in lexicographic order, and ``tuples_checked`` is that tuple's
-    position in ``all_tuples`` order, as the exhaustive loop would count."""
-    left, right = _entries(left), _entries(right)
+    position in ``all_tuples`` order, as the exhaustive loop would count.
+    Two skew-storage tensors are compared on their increasing keys alone:
+    their difference alternates, and the sorted arrangement of distinct
+    indices is the least in lexicographic order, so the first differing
+    tuple is an increasing one."""
+    if all(isinstance(x, BracketTensor) and x.skew_storage for x in (left, right)):
+        left, right = left.coeffs, right.coeffs
+    else:
+        left, right = _entries(left), _entries(right)
     first = None
     for t in left.keys() | right.keys():
         if (first is None or t < first) and left.get(t) != right.get(t):
@@ -196,10 +205,6 @@ def check_hom_nambu_identity(a: HomNambuAlgebra,
     return CheckReport("hom_nambu_identity", True, None, checked)
 
 
-def _increasing(t: Tuple[int, ...]) -> bool:
-    return all(p < q for p, q in zip(t, t[1:]))
-
-
 def _comb_rank(t: Tuple[int, ...], d: int) -> int:
     """Position of an increasing tuple in ``increasing_tuples(d, len(t))``."""
     m = len(t)
@@ -214,29 +219,27 @@ def _skew_identity(C: BracketTensor, top: BracketTensor, side: List[BracketTenso
     sides are accumulated as rows keyed by increasing y: the left side from
     the stored values [y], the right side from the entries of each side
     tensor, grouped by their free-slot index, times the coordinates of
-    [x, y_i].  Keys are filtered by being increasing, not by storage kind, so
-    a skew claim on dense storage gets the same verdict as the loop over
-    increasing tuples.  The first differing (x, y) is reported with its
-    position in that loop."""
+    [x, y_i].  Every tensor is read through ``free_slot_items``, which on
+    skew storage yields the needed entries from the stored keys and on dense
+    storage keeps the keys that increase, so a skew claim on dense storage
+    gets the same verdict as the loop over increasing tuples.  The first
+    differing (x, y) is reported with its position in that loop."""
     d, n = C.dim, C.arity
     brackets: Dict[Tuple[int, ...], list] = {}       # x -> [(k, [x, e_k])]
-    for t, v in C.dense_items():
-        if _increasing(t[:-1]):
-            brackets.setdefault(t[:-1], []).append((t[-1], v.entries))
+    for t, v in C.free_slot_items(n - 1):
+        brackets.setdefault(t[:-1], []).append((t[-1], v.entries))
     twisted: Dict[Tuple[int, ...], dict] = {}        # x -> {j: [a(x), e_j]}
-    for t, v in top.coeffs.items():
-        if _increasing(t[:-1]):
-            twisted.setdefault(t[:-1], {})[t[-1]] = v.entries
-    values = [(y, v.entries) for y, v in C.coeffs.items() if _increasing(y)]
+    for t, v in top.free_slot_items(n - 1):
+        twisted.setdefault(t[:-1], {})[t[-1]] = v.entries
+    values = [(y, v.entries) for y, v in C.coeffs.items() if is_increasing(y)]
     # side[i] entries whose other slots increase, grouped by their slot-i index;
     # slot i takes k with lo < k < hi
     groups: Dict[int, list] = {}
     for i, s in enumerate(side):
-        for t, v in s.coeffs.items():
+        for t, v in s.free_slot_items(i):
             head, tail = t[:i], t[i + 1:]
-            if _increasing(head + tail):
-                groups.setdefault(t[i], []).append(
-                    (head[-1] if head else -1, tail[0] if tail else d, head, tail, v.entries))
+            groups.setdefault(t[i], []).append(
+                (head[-1] if head else -1, tail[0] if tail else d, head, tail, v.entries))
     zero = [Fraction(0)] * d
     for x in sorted(brackets.keys() | twisted.keys()):
         lhs: Dict[Tuple[int, ...], List[Fraction]] = {}

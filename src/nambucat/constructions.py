@@ -233,22 +233,20 @@ def tstar_extension(a: HomNambuAlgebra, form: BilinearForm,
     _require(check_quadratic(QuadraticStructure(a, form), max_tuples),
              "input quadratic structure")
 
-    entries = a.bracket.dense_items()
+    # skew storage, so every key has its dual index, if any, last: the stored
+    # entry (K, v) of C keeps v on the N block, and each entry (rest + (m,), v)
+    # with rest increasing puts -v_j at dual coordinate m of rest + (e_j*,)
+    C = a.bracket.skew_canonical()
     zero_d = [Fraction(0)] * d
     rows: Dict[Tuple[int, ...], List[Fraction]] = {
-        t: list(v.entries) + zero_d for t, v in entries}
-    # one dual element e_j* at position i (0-based), sign (-1)^{(i+1)+n+1}:
-    # the entry (rest + (m,), v) puts sign * v_j at dual coordinate m of
-    # rest[:i] + (e_j*,) + rest[i:]
-    for t, v in entries:
+        t: list(v.entries) + zero_d for t, v in C.coeffs.items()}
+    for t, v in C.free_slot_items(n - 1):
         rest, m = t[:-1], t[-1]
-        for i in range(n):
-            sign = 1 if (i + n) % 2 == 0 else -1
-            for j, x in enumerate(v.entries):
-                if x:
-                    key = rest[:i] + (d + j,) + rest[i:]
-                    rows.setdefault(key, [Fraction(0)] * (2 * d))[d + m] = sign * x
-    bracket = BracketTensor(2 * d, n, {t: Vector(row) for t, row in rows.items()})
+        for j, x in enumerate(v.entries):
+            if x:
+                rows.setdefault(rest + (d + j,), [Fraction(0)] * (2 * d))[d + m] = -x
+    bracket = BracketTensor(2 * d, n, {t: Vector(row) for t, row in rows.items()},
+                            skew_storage=True)
 
     zero = Matrix.zero(d, d)
     big_form = BilinearForm(2 * d, _blocks((form.gram, ident), (ident, zero)))

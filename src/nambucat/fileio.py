@@ -62,8 +62,10 @@ def _mat_from(data, rows: int, cols: int, what: str) -> Matrix:
     return Matrix.from_rows([list(_vec_from(r, cols, what).entries) for r in data])
 
 
-def _bracket_json(t: BracketTensor) -> List[dict]:
-    entries = sorted(t.coeffs.items())
+def _bracket_json(t: BracketTensor, skew: bool) -> List[dict]:
+    """Entries sorted by key.  Skew storage is written as stored only under a
+    skew claim, which loads it back as the alternating extension."""
+    entries = t.dense_items() if t.skew_storage and not skew else sorted(t.coeffs.items())
     return [{"inputs": [i + 1 for i in idx], "output": _vec_json(v)}
             for idx, v in entries]
 
@@ -133,7 +135,7 @@ def to_document(obj: AlgebraLike, name: Optional[str] = None,
         doc["metadata"] = meta
     doc["dim"] = obj.dim
     doc["arity"] = arity
-    doc["bracket"] = _bracket_json(bracket)
+    doc["bracket"] = _bracket_json(bracket, flags.get("skew", False))
     doc["twists"] = [_mat_json(t) for t in twists]
     if flags:
         doc["flags"] = flags

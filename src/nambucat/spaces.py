@@ -2,7 +2,10 @@
 
 Spaces of endomorphisms are computed as nullspaces of exactly-assembled
 linear systems over the rationals; membership of a single candidate is
-checked directly against the defining equations instead.
+checked directly against the defining equations instead.  For a bracket in
+skew storage the equations alternate in the bracket's slots (the centroid's
+in all but the first), so one equation per orbit is assembled, read off the
+stored keys without expanding them.
 """
 
 from __future__ import annotations
@@ -46,7 +49,8 @@ def _twist_power(a, k: int) -> Matrix:
 
 
 def _assemble(d: int, width: int, lhs: Optional[BracketTensor],
-              patterns: Sequence[Tuple[int, BracketTensor]]) -> List[Dict[int, Fraction]]:
+              patterns: Sequence[Tuple[int, BracketTensor]],
+              free: Optional[int] = None) -> List[Dict[int, Fraction]]:
     """Linear equations on an unknown d-by-width matrix X, from nonzero entries only.
 
     For each basis tuple t and output coordinate r the equation reads
@@ -54,8 +58,13 @@ def _assemble(d: int, width: int, lhs: Optional[BracketTensor],
     sum_j P(t with j in slot i)_r X[j, t_i], where slot i of t ranges over
     range(width); a lhs term needs width = d.  Rows are {column: coefficient}
     dicts with X[u, s] in column u * width + s; rows that vanish and repeats
-    of an earlier row (a skew bracket gives each equation once per ordering
-    of slots with the same map) are dropped.
+    of an earlier row are dropped.
+
+    With ``free`` = f the equations alternate in the slots from f on (the
+    bracket has skew storage), so only t with t[f:] strictly increasing is
+    assembled, one equation per orbit: the others repeat or negate it, or
+    vanish.  The entries are read through ``free_slot_items``; f = 1 takes
+    the lhs and patterns on slot 0 only.
     """
     rows: Dict[Tuple[Tuple[int, ...], int], Dict[int, Fraction]] = {}
 
@@ -63,17 +72,29 @@ def _assemble(d: int, width: int, lhs: Optional[BracketTensor],
         row = rows.setdefault((t, r), {})
         row[col] = row.get(col, 0) + x
 
+    def entries(tensor, i):
+        """(key, value, the values slot i of an assembled t may take)."""
+        if free is None:
+            return [(key, vec, range(width)) for key, vec in tensor.dense_items()]
+        if free == 1:
+            return [(key, vec, range(width)) for key, vec in tensor.free_slot_items(0)]
+        # free == 0: slot i lies strictly between its neighbours
+        return [(key, vec, range(key[i - 1] + 1 if i else 0,
+                                 key[i + 1] if i + 1 < len(key) else width))
+                for key, vec in tensor.free_slot_items(i)]
+
     if lhs is not None:
-        for t, vec in lhs.dense_items():
-            for s, x in enumerate(vec.entries):
-                if x:
-                    for r in range(d):
-                        add(t, r, r * width + s, x)
+        for t, vec, slot0 in entries(lhs, 0):
+            if t[0] in slot0:
+                for s, x in enumerate(vec.entries):
+                    if x:
+                        for r in range(d):
+                            add(t, r, r * width + s, x)
     for i, pattern in patterns:
-        for key, vec in pattern.dense_items():
+        for key, vec, slot in entries(pattern, i):
             for r, x in enumerate(vec.entries):
                 if x:
-                    for ti in range(width):
+                    for ti in slot:
                         add(key[:i] + (ti,) + key[i + 1:], r, key[i] * width + ti, -x)
     out, seen = [], set()
     for row in rows.values():
@@ -95,7 +116,8 @@ def compute_centroid(a: HomNambuAlgebra, k: int) -> SubspaceBasis:
     d, n = a.dim, a.arity
     pw = _twist_power(a, k)
     pattern = a.bracket.transform([None] + [pw] * (n - 1))
-    return _matrix_nullspace_basis(_assemble(d, d, a.bracket, [(0, pattern)]), d)
+    free = 1 if a.bracket.skew_storage else None
+    return _matrix_nullspace_basis(_assemble(d, d, a.bracket, [(0, pattern)], free), d)
 
 
 def _centroid_report(identity: str, bracket: BracketTensor, f: Matrix,
@@ -120,7 +142,7 @@ def compute_derivations(a: HomNambuAlgebra, k: int) -> SubspaceBasis:
     pw = _twist_power(a, k)
     patterns = [(i, a.bracket.transform([pw if j != i else None for j in range(n)]))
                 for i in range(n)]
-    rows = _assemble(d, d, a.bracket, patterns)
+    rows = _assemble(d, d, a.bracket, patterns, 0 if a.bracket.skew_storage else None)
     # D alpha = alpha D: the same equations for the unary "bracket" alpha
     unary = BracketTensor(d, 1, {(v,): alpha.col(v) for v in range(d)})
     rows += _assemble(d, d, unary, [(0, unary)])
@@ -161,12 +183,13 @@ def inner_derivation(a: HomNambuAlgebra, x: Sequence[Vector], k: int) -> Matrix:
 
 def compute_center(a: HomNambuAlgebra) -> SubspaceBasis:
     """Vectors z with [z, x_2, ..., x_n] = 0 for all basis choices."""
-    rows = _assemble(a.dim, 1, None, [(0, a.bracket)])
+    rows = _assemble(a.dim, 1, None, [(0, a.bracket)],
+                     1 if a.bracket.skew_storage else None)
     return SubspaceBasis("vector", a.dim, tuple(nullspace(SparseMatrix(a.dim, rows))))
 
 
 def _derived_span(a: HomNambuAlgebra) -> List[Vector]:
-    vals = [v for _, v in a.bracket.dense_items()]
+    vals = list(a.bracket.coeffs.values())     # stored values span the signed copies too
     if not vals:
         return []
     from .linalg import rref

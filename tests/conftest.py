@@ -1,6 +1,8 @@
+import itertools
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import strategies as st
 
 from nambucat import (BilinearForm, BracketTensor, HomAssocNAry,
                       HomNambuAlgebra, Matrix, QuadraticStructure, Vector,
@@ -74,6 +76,52 @@ def sum5(s4):
     return HomNambuAlgebra(5, 3, BracketTensor(5, 3, items),
                            (Matrix.identity(5),) * 2,
                            skew=True, multiplicative=True)
+
+
+# random skew-storage tensors and slot maps for the differential tests
+
+entries = st.sampled_from([F(-1), F(0), F(0), F(1), F(2), F(1, 2)])
+
+
+@st.composite
+def skew_tensors(draw, d, n, vdim):
+    """A random skew-storage tensor; it need not be an algebra."""
+    keys = draw(st.lists(st.sampled_from(list(itertools.combinations(range(d), n))),
+                         unique=True, max_size=6))
+    return BracketTensor(d, n, {k: Vector(draw(st.lists(entries, min_size=vdim,
+                                                         max_size=vdim)))
+                                for k in keys}, skew_storage=True, vdim=vdim)
+
+
+def matrix(draw, rows, cols):
+    return Matrix(rows, cols, draw(st.lists(entries, min_size=rows * cols,
+                                            max_size=rows * cols)))
+
+
+@st.composite
+def slot_maps(draw, d, kind=None):
+    """An identity, invertible, singular or rectangular d-row map."""
+    kind = kind or draw(st.sampled_from(("identity", "invertible", "singular",
+                                         "rectangular")))
+    if kind == "identity":
+        return Matrix.identity(d)
+    if kind == "rectangular":
+        return matrix(draw, d, draw(st.integers(1, d + 1).filter(lambda w: w != d)))
+    # unit lower times unit upper triangular, then a signed permutation of rows
+    lower = Matrix(d, d, [1 if i == j else draw(entries) if i > j else 0
+                          for i in range(d) for j in range(d)])
+    upper = Matrix(d, d, [1 if i == j else draw(entries) if i < j else 0
+                          for i in range(d) for j in range(d)])
+    perm = draw(st.permutations(range(d)))
+    sign = draw(st.sampled_from((1, -1)))
+    m = Matrix(d, d, [sign if perm[i] == j else 0 for i in range(d) for j in range(d)]) \
+        @ lower @ upper
+    if kind == "singular":      # one column zero or a copy of the next
+        c = draw(st.integers(0, d - 1))
+        src = None if draw(st.booleans()) else (c + 1) % d
+        m = Matrix(d, d, [m[i, j] if j != c else 0 if src is None else m[i, src]
+                          for i in range(d) for j in range(d)])
+    return m
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

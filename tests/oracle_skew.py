@@ -1,0 +1,183 @@
+"""The kernels as they were before skew storage stayed skew: ``transform``
+expanding skew storage into every signed permutation and applying the slot
+maps one at a time, ``spaces._assemble`` walking every expanded entry, and
+the skew fundamental identity reading ``top`` and ``side`` through
+``.coeffs``, which assumes dense storage.  Tests compare the library
+against them.
+"""
+
+from fractions import Fraction
+from typing import Dict, List, Optional, Sequence, Tuple
+
+from nambucat.algebra import BracketTensor, add_scaled, is_increasing
+from nambucat.checks import (CheckReport, Counterexample, _budget, _comb_rank,
+                             _tuple_count, _twist_slots)
+from nambucat.linalg import Matrix, SparseMatrix, Vector, nullspace, rref
+from nambucat.spaces import SubspaceBasis, _twist_power
+
+
+def _is_identity(m: Matrix, n: int) -> bool:
+    return m.rows == m.cols == n and m == Matrix.identity(n)
+
+
+def transform(tensor: BracketTensor, slot_maps: Sequence[Optional[Matrix]],
+              out_map: Optional[Matrix] = None) -> BracketTensor:
+    """Dense-storage tensor of (args) -> out_map(bracket(M_1 a_1, ..., M_n a_n))."""
+    if len(slot_maps) != tensor.arity:
+        raise ValueError("need one map per slot")
+    maps = [None if m is None or _is_identity(m, tensor.dim) else m for m in slot_maps]
+    widths = {tensor.dim if m is None else m.cols for m in maps}
+    if len(widths) > 1 or any(m is not None and m.rows != tensor.dim for m in maps):
+        raise ValueError("slot map has wrong shape")
+    (width,) = widths
+    items = dict(tensor.dense_items())
+    for k, m in enumerate(maps):
+        if m is None:
+            continue
+        nxt: Dict[Tuple[int, ...], List[Fraction]] = {}
+        for idx, vec in items.items():
+            i = idx[k]
+            for j in range(width):
+                c = m[i, j]
+                if c == 0:
+                    continue
+                add_scaled(nxt, idx[:k] + (j,) + idx[k + 1:], c, vec.entries)
+        items = {key: Vector(v) for key, v in nxt.items()}
+    vdim = tensor.vdim
+    if out_map is not None and not _is_identity(out_map, vdim):
+        items = {key: out_map.apply(vec) for key, vec in items.items()}
+        vdim = out_map.rows
+    return BracketTensor(width, tensor.arity, items, vdim=vdim)
+
+
+def _assemble(d: int, width: int, lhs: Optional[BracketTensor],
+              patterns: Sequence[Tuple[int, BracketTensor]]) -> List[Dict[int, Fraction]]:
+    """One equation per basis tuple t and output coordinate, every ordering of
+    a skew bracket's slots included; vanishing and repeated rows dropped."""
+    rows: Dict[Tuple[Tuple[int, ...], int], Dict[int, Fraction]] = {}
+
+    def add(t, r, col, x):
+        row = rows.setdefault((t, r), {})
+        row[col] = row.get(col, 0) + x
+
+    if lhs is not None:
+        for t, vec in lhs.dense_items():
+            for s, x in enumerate(vec.entries):
+                if x:
+                    for r in range(d):
+                        add(t, r, r * width + s, x)
+    for i, pattern in patterns:
+        for key, vec in pattern.dense_items():
+            for r, x in enumerate(vec.entries):
+                if x:
+                    for ti in range(width):
+                        add(key[:i] + (ti,) + key[i + 1:], r, key[i] * width + ti, -x)
+    out, seen = [], set()
+    for row in rows.values():
+        key = frozenset((c, x) for c, x in row.items() if x)
+        if key and key not in seen:
+            seen.add(key)
+            out.append(row)
+    return out
+
+
+def _matrix_nullspace_basis(rows, d: int) -> SubspaceBasis:
+    sols = nullspace(SparseMatrix(d * d, rows))
+    return SubspaceBasis("matrix", d, tuple(Matrix(d, d, v.entries) for v in sols))
+
+
+def centroid(a, k: int) -> SubspaceBasis:
+    d, n = a.dim, a.arity
+    pw = _twist_power(a, k)
+    pattern = transform(a.bracket, [None] + [pw] * (n - 1))
+    return _matrix_nullspace_basis(_assemble(d, d, a.bracket, [(0, pattern)]), d)
+
+
+def derivations(a, k: int) -> SubspaceBasis:
+    d, n = a.dim, a.arity
+    alpha = a.twist
+    pw = _twist_power(a, k)
+    patterns = [(i, transform(a.bracket, [pw if j != i else None for j in range(n)]))
+                for i in range(n)]
+    rows = _assemble(d, d, a.bracket, patterns)
+    unary = BracketTensor(d, 1, {(v,): alpha.col(v) for v in range(d)})
+    rows += _assemble(d, d, unary, [(0, unary)])
+    return _matrix_nullspace_basis(rows, d)
+
+
+def center(a) -> SubspaceBasis:
+    rows = _assemble(a.dim, 1, None, [(0, a.bracket)])
+    return SubspaceBasis("vector", a.dim, tuple(nullspace(SparseMatrix(a.dim, rows))))
+
+
+def central_derivations(a) -> SubspaceBasis:
+    d = a.dim
+    cent = center(a)
+    rows: List[Dict[int, Fraction]] = []
+    if cent.dimension < d:
+        annihilator = nullspace(SparseMatrix(d, [{s: x for s, x in enumerate(v) if x}
+                                                 for v in cent.basis]))
+        for w in annihilator:
+            for j in range(d):
+                rows.append({s * d + j: x for s, x in enumerate(w) if x})
+    vals = [v for _, v in a.bracket.dense_items()]
+    derived = []
+    if vals:
+        reduced, pivots = rref(Matrix.from_rows([list(v.entries) for v in vals]))
+        derived = [reduced.row(i) for i in range(len(pivots))]
+    for u in derived:
+        for r in range(d):
+            rows.append({r * d + s: x for s, x in enumerate(u) if x})
+    return _matrix_nullspace_basis(rows, d)
+
+
+def hom_nambu_identity(a, max_tuples=None) -> CheckReport:
+    """The fundamental identity under a skew claim, on increasing x and y,
+    with ``top`` and ``side`` built densely and read through ``.coeffs``."""
+    n, d = a.arity, a.dim
+    C = a.bracket
+    count = _tuple_count(d, n - 1, True) * _tuple_count(d, n, True)
+    _budget(count, max_tuples)
+    top = transform(C, list(a.twists) + [None])
+    side = [transform(C, _twist_slots(a.twists, n, i)) for i in range(n)]
+    brackets: Dict[Tuple[int, ...], list] = {}
+    for t, v in C.dense_items():
+        if is_increasing(t[:-1]):
+            brackets.setdefault(t[:-1], []).append((t[-1], v.entries))
+    twisted: Dict[Tuple[int, ...], dict] = {}
+    for t, v in top.coeffs.items():
+        if is_increasing(t[:-1]):
+            twisted.setdefault(t[:-1], {})[t[-1]] = v.entries
+    values = [(y, v.entries) for y, v in C.coeffs.items() if is_increasing(y)]
+    groups: Dict[int, list] = {}
+    for i, s in enumerate(side):
+        for t, v in s.coeffs.items():
+            head, tail = t[:i], t[i + 1:]
+            if is_increasing(head + tail):
+                groups.setdefault(t[i], []).append(
+                    (head[-1] if head else -1, tail[0] if tail else d, head, tail, v.entries))
+    zero = [Fraction(0)] * d
+    for x in sorted(brackets.keys() | twisted.keys()):
+        lhs: Dict[Tuple[int, ...], List[Fraction]] = {}
+        rhs: Dict[Tuple[int, ...], List[Fraction]] = {}
+        tx = twisted.get(x)
+        if tx:
+            for y, w in values:
+                for j, c in enumerate(w):
+                    if c and j in tx:
+                        add_scaled(lhs, y, c, tx[j])
+        for k, v in brackets.get(x, ()):
+            for j, c in enumerate(v):
+                if c:
+                    for lo, hi, head, tail, vals in groups.get(j, ()):
+                        if lo < k < hi:
+                            add_scaled(rhs, head + (k,) + tail, c, vals)
+        bad = [y for y in lhs.keys() | rhs.keys() if lhs.get(y, zero) != rhs.get(y, zero)]
+        if bad:
+            y = min(bad)
+            return CheckReport("hom_nambu_identity", False,
+                               Counterexample(x + y, Vector(lhs.get(y, zero)),
+                                              Vector(rhs.get(y, zero))),
+                               _comb_rank(x, d) * _tuple_count(d, n, True)
+                               + _comb_rank(y, d) + 1)
+    return CheckReport("hom_nambu_identity", True, None, count)

@@ -15,12 +15,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle_checks as oracle
-from conftest import filippov
+import oracle_skew
+from conftest import entries, filippov, matrix, skew_tensors, slot_maps
 from nambucat import (BilinearForm, BracketTensor, HomAssocNAry,
                       HomLeibnizAlgebra, HomNambuAlgebra, Matrix,
                       QuadraticStructure, TupleBudgetExceeded, Vector, corpus)
 from nambucat import fileio
-from nambucat.checks import (check_hom_leibniz, check_hom_nambu_identity,
+from nambucat.algebra import all_tuples
+from nambucat.checks import (_compare, check_hom_leibniz, check_hom_nambu_identity,
                              check_morphism, check_multiplicativity,
                              check_quadratic, check_skew_symmetry,
                              check_total_hom_associativity)
@@ -165,6 +167,15 @@ def _skew_storage_algebras():
            "flags": {"skew": True}}
     out.append(fileio.from_document(doc).bracket)
     out.append(fileio.loads(fileio.dumps(filippov(5))).bracket)
+    # transform with one map in every slot: invertible, singular, rectangular
+    a4, a5 = filippov(4), filippov(5)
+    p = Matrix(4, 4, [1, 1, 0, 0, 0, 1, 2, 0, 0, 0, 1, -1, 1, 0, 0, 1])
+    out += [a4.bracket.transform([p] * 3, out_map=p),
+            a4.bracket.transform([Matrix(4, 4, [1, 1, 0, 0, 0, 1, 2, 0, 1, 2, 2, 0,
+                                                1, 0, 0, 1])] * 3),
+            a4.bracket.transform([None] * 3, out_map=SIGN4),
+            a5.bracket.transform([Matrix(5, 5, [(i * j) % 3 - 1 for i in range(5)
+                                                for j in range(5)])] * 4)]
     return out
 
 
@@ -406,3 +417,80 @@ def test_quadratic_perturbations_fail_at_inner_tuples():
                 yz = r.counterexample.indices[-2:]
                 off_diagonal += yz[0] != yz[1]
     assert inner >= 4 and off_diagonal >= 4
+
+
+# --------------------------- skew storage kept through transform and compare
+
+@st.composite
+def skew_cases(draw):
+    d = draw(st.integers(2, 5))
+    n = draw(st.integers(2, min(d, 4)))
+    vdim = draw(st.integers(1, 4))
+    return d, n, vdim, draw(skew_tensors(d, n, vdim))
+
+
+@settings(max_examples=150, deadline=None)
+@given(skew_cases(), st.data())
+def test_skew_transform_matches_dense_oracle(case, data):
+    """One map in every slot keeps skew storage, any other choice gives dense
+    storage; either way every tuple has the dense oracle's value."""
+    d, n, vdim, C = case
+    m = data.draw(slot_maps(d))
+    uniform = m.cols != d or data.draw(st.booleans())
+    maps = [m] * n
+    if not uniform:     # a square map with the identity in one slot
+        maps[data.draw(st.integers(0, n - 1))] = None
+    rows = data.draw(st.sampled_from((None, 0, 1, 2, 3, 4)))
+    out_map = (None if rows is None else Matrix.identity(vdim) if rows == 0
+               else matrix(data.draw, rows, vdim))
+    new = C.transform(maps, out_map)
+    old = oracle_skew.transform(C, maps, out_map)
+    assert new.skew_storage == (uniform or m == Matrix.identity(d))
+    assert (new.dim, new.arity, new.vdim) == (old.dim, old.arity, old.vdim)
+    for t in all_tuples(new.dim, n):
+        assert new.value(t) == old.value(t)
+
+
+@settings(max_examples=150, deadline=None)
+@given(skew_cases(), st.data())
+def test_skew_compare_matches_dense_oracle(case, data):
+    """Two skew-storage tensors compared on stored keys give the report of the
+    comparison of their expanded entries."""
+    d, n, vdim, left = case
+    how = data.draw(st.sampled_from(("random", "perturbed", "mapped", "equal")))
+    if how == "random":
+        right = data.draw(skew_tensors(d, n, vdim))
+    elif how == "perturbed" and left.coeffs:
+        coeffs = dict(left.coeffs)
+        key = data.draw(st.sampled_from(sorted(coeffs)))
+        coeffs[key] = coeffs[key] + Vector(data.draw(st.lists(entries, min_size=vdim,
+                                                              max_size=vdim)))
+        right = BracketTensor(d, n, coeffs, skew_storage=True, vdim=vdim)
+    elif how == "mapped":
+        right = left.transform([data.draw(slot_maps(d, "invertible"))] * n)
+    else:
+        right = BracketTensor(d, n, dict(left.coeffs), skew_storage=True, vdim=vdim)
+    assert left.skew_storage and right.skew_storage
+    new = _compare("skew", d, n, left, right)
+    old = _compare("skew", d, n, dict(left.dense_items()), dict(right.dense_items()))
+    assert new.to_json() == old.to_json()
+
+
+@settings(max_examples=120, deadline=None)
+@given(skew_cases(), st.data())
+def test_skew_identity_matches_dense_oracle(case, data):
+    """Under a skew claim on skew storage the fundamental identity reads the
+    bracket and its twisted copies through ``free_slot_items``; the report
+    equals the one of the code that built them densely."""
+    d, n, _, _ = case
+    C = data.draw(skew_tensors(d, n, d))
+    kind = data.draw(st.sampled_from(("identity", "common", "distinct")))
+    if kind == "identity":
+        twists = (Matrix.identity(d),) * (n - 1)
+    elif kind == "common":
+        twists = (data.draw(slot_maps(d, data.draw(st.sampled_from(("invertible",
+                                                                     "singular"))))),) * (n - 1)
+    else:
+        twists = tuple(data.draw(slot_maps(d, "invertible")) for _ in range(n - 1))
+    a = HomNambuAlgebra(d, n, C, twists, skew=True)
+    _same(check_hom_nambu_identity, oracle_skew.hom_nambu_identity, a)

@@ -1,12 +1,14 @@
 """Serialization: round trips, flag verification, and malformed input."""
 
 import json
+from dataclasses import replace
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
-from nambucat import Matrix, TupleBudgetExceeded, Vector, corpus, fileio
+from nambucat import (HomLeibnizAlgebra, Matrix, TupleBudgetExceeded, Vector,
+                      corpus, fileio)
 from nambucat.fileio import FileFormatError, FlagVerificationError
 
 
@@ -143,6 +145,18 @@ def test_skew_storage_roundtrip(s4):
     back = fileio.from_document(doc)
     assert back.algebra.bracket.value((1, 0, 2)) == \
         -s4.algebra.bracket.value((0, 1, 2))
+
+
+def test_skew_storage_without_a_skew_claim_is_written_expanded(sl2, s4):
+    """A document that claims no skew symmetry lists every nonzero tuple of
+    a skew-storage bracket, so it loads back as the same map."""
+    leibniz = HomLeibnizAlgebra(3, sl2.algebra.bracket, Matrix.identity(3))
+    unclaimed = replace(s4.algebra, skew=False)
+    for obj in (leibniz, unclaimed):
+        bracket = obj.bracket
+        assert bracket.skew_storage
+        back = fileio.from_document(fileio.to_document(obj))
+        assert not back.bracket.skew_storage and back.bracket == bracket
 
 
 def test_fraction_strings_are_reduced(ex2):

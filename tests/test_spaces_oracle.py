@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle_skew
 import oracle_spaces as oracle
-from conftest import filippov
+from conftest import filippov, skew_tensors, slot_maps
 from nambucat import BilinearForm, HomNambuAlgebra, Matrix, corpus
 from nambucat.constructions import induced_hom_leibniz, tstar_extension
 from nambucat.fileio import subspace_to_document
@@ -77,16 +78,23 @@ def test_nullspace_matches_dense_oracle(rows, cols, data):
     assert nullspace(SparseMatrix(cols, m.sparse_rows())) == want
 
 
-def _relabel(a, perm, signs):
-    """The algebra in the basis f_i = signs[i] e_perm[i]."""
+def _change_basis(a, p):
+    """The algebra in the basis f_j = p e_j, a skew bracket re-stored skew."""
     d = a.dim
-    p = Matrix(d, d, [signs[j] if perm[j] == i else 0
-                      for i in range(d) for j in range(d)])
     pinv = solve_matrix(p, Matrix.identity(d))
     bracket = a.bracket.transform([p] * a.arity, out_map=pinv)
+    if a.skew:
+        bracket = bracket.skew_canonical()
     twists = tuple(pinv @ t @ p for t in a.twists)
     return HomNambuAlgebra(d, a.arity, bracket, twists, skew=a.skew,
                            multiplicative=a.multiplicative)
+
+
+def _relabel(a, perm, signs):
+    """The algebra in the basis f_i = signs[i] e_perm[i]."""
+    d = a.dim
+    return _change_basis(a, Matrix(d, d, [signs[j] if perm[j] == i else 0
+                                          for i in range(d) for j in range(d)]))
 
 
 def _dim(solve, *args):
@@ -112,6 +120,49 @@ def test_signed_permutation_keeps_dimensions(name):
         rng.shuffle(perm)
         signs = [rng.choice((1, -1)) for _ in range(a.dim)]
         assert _dims(_relabel(a, perm, signs)) == _dims(a)
+
+
+def _invertible(rng, d):
+    """A random unit lower times unit upper triangular integer matrix with
+    its rows permuted: invertible, and not a signed permutation."""
+    lower = Matrix(d, d, [1 if i == j else rng.randint(-1, 2) if i > j else 0
+                          for i in range(d) for j in range(d)])
+    upper = Matrix(d, d, [1 if i == j else rng.randint(-1, 1) if i < j else 0
+                          for i in range(d) for j in range(d)])
+    perm = list(range(d))
+    rng.shuffle(perm)
+    return Matrix(d, d, [1 if perm[i] == j else 0 for i in range(d) for j in range(d)]) \
+        @ lower @ upper
+
+
+@pytest.mark.parametrize("name", ["A5", "tstar(simple3lie4)"])
+def test_invertible_change_of_basis_keeps_dimensions(name):
+    a = INPUTS[name]
+    want = _dims(a)
+    rng = random.Random(name)
+    for _ in range(2):
+        b = _change_basis(a, _invertible(rng, a.dim))
+        assert b.bracket.skew_storage and b.bracket != a.bracket
+        assert _dims(b) == want
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(2, 5).flatmap(lambda d: st.tuples(st.just(d), st.integers(2, min(d, 4)))),
+       st.data())
+def test_skew_storage_spaces_match_oracle(shape, data):
+    """Random skew-storage brackets, with identity, invertible or singular
+    twists: the spaces assembled on one tuple per orbit equal those
+    assembled on every expanded entry, at k = -1 to 2."""
+    d, n = shape
+    C = data.draw(skew_tensors(d, n, d))
+    alpha = data.draw(slot_maps(d, data.draw(st.sampled_from(("identity", "invertible",
+                                                               "singular")))))
+    a = HomNambuAlgebra(d, n, C, (alpha,) * (n - 1), skew=True)
+    for k in LEVELS:
+        _same(compute_centroid, oracle_skew.centroid, a, k)
+        _same(compute_derivations, oracle_skew.derivations, a, k)
+    _same(compute_center, oracle_skew.center, a)
+    _same(compute_central_derivations, oracle_skew.central_derivations, a)
 
 
 def test_filippov_a6_against_theory():
