@@ -124,7 +124,7 @@ def test_signed_permutation_keeps_dimensions(name):
 
 def _invertible(rng, d):
     """A random unit lower times unit upper triangular integer matrix with
-    its rows permuted: invertible, and not a signed permutation."""
+    its rows permuted, so invertible."""
     lower = Matrix(d, d, [1 if i == j else rng.randint(-1, 2) if i > j else 0
                           for i in range(d) for j in range(d)])
     upper = Matrix(d, d, [1 if i == j else rng.randint(-1, 1) if i < j else 0
@@ -141,7 +141,9 @@ def test_invertible_change_of_basis_keeps_dimensions(name):
     want = _dims(a)
     rng = random.Random(name)
     for _ in range(2):
-        b = _change_basis(a, _invertible(rng, a.dim))
+        p = _invertible(rng, a.dim)
+        assert sum(1 for x in p.entries if x) > a.dim      # not a signed permutation
+        b = _change_basis(a, p)
         assert b.bracket.skew_storage and b.bracket != a.bracket
         assert _dims(b) == want
 
