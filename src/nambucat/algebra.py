@@ -132,21 +132,48 @@ class BracketTensor:
                 self._dense = sorted(self.coeffs.items())
         return self._dense
 
-    def free_slot_items(self, slot: int) -> List[Tuple[Tuple[int, ...], Vector]]:
+    def free_slot_items(self, slot: int, m: Optional[Matrix] = None
+                        ) -> List[Tuple[Tuple[int, ...], Vector]]:
         """The nonzero entries (t, value) whose slots other than ``slot``
-        strictly increase.  On skew storage they are read off the stored keys
-        without expanding them: stored key K gives one entry per position p,
-        with K[p] moved to ``slot`` and sign (-1)^(p - slot)."""
+        strictly increase, of this tensor with the square map ``m`` applied
+        to every slot but ``slot`` (None or the identity: no map).
+
+        On skew storage they are read off the stored keys without expanding
+        them: stored key K gives one entry per position p, with K[p] moved to
+        ``slot`` and sign (-1)^(p - slot).  With a map, the other slots
+        R = K minus K[p] of that entry spread over the increasing J with
+        coefficient det(m[R, J]), an (n-1)-minor of m, and the entries that
+        land on one key are summed.  Dense storage is mapped by ``transform``.
+        """
+        if m is not None and _is_identity(m, self.dim):
+            m = None
         if not self.skew_storage:
-            return [(t, v) for t, v in self.coeffs.items()
+            src = self if m is None else self.transform(
+                [None if k == slot else m for k in range(self.arity)])
+            return [(t, v) for t, v in src.coeffs.items()
                     if is_increasing(t[:slot] + t[slot + 1:])]
-        out = []
+        if m is None:
+            out = []
+            for key, vec in self.coeffs.items():
+                neg = -vec
+                for p, k in enumerate(key):
+                    rest = key[:p] + key[p + 1:]
+                    out.append((rest[:slot] + (k,) + rest[slot:],
+                                neg if (p - slot) % 2 else vec))
+            return out
+        if m.rows != self.dim or m.cols != self.dim:
+            raise ValueError("slot map has wrong shape")
+        minors: Dict[Tuple[int, ...], Dict[Tuple[int, ...], Fraction]] = {}
+        acc: Dict[Tuple[int, ...], List[Fraction]] = {}
         for key, vec in self.coeffs.items():
-            neg = -vec
             for p, k in enumerate(key):
                 rest = key[:p] + key[p + 1:]
-                out.append((rest[:slot] + (k,) + rest[slot:], neg if (p - slot) % 2 else vec))
-        return out
+                if rest not in minors:
+                    minors[rest] = _row_minors(m, rest)
+                sign = -1 if (p - slot) % 2 else 1
+                for cols, c in minors[rest].items():
+                    add_scaled(acc, cols[:slot] + (k,) + cols[slot:], sign * c, vec.entries)
+        return [(t, Vector(v)) for t, v in acc.items() if any(v)]
 
     def eval(self, args: Sequence[Vector]) -> Vector:
         """Multilinear extension: the arguments substituted slot by slot
@@ -273,15 +300,10 @@ class BracketTensor:
 
     def _minors(self, m: Matrix) -> Dict[Tuple[int, ...], Vector]:
         """Increasing-key values of a skew-storage tensor with m in every slot."""
-        n = self.arity
         acc: Dict[Tuple[int, ...], List[Fraction]] = {}
         for key, vec in self.coeffs.items():
-            rows = [m.entries[i * m.cols:(i + 1) * m.cols] for i in key]
-            support = sorted({j for row in rows for j, x in enumerate(row) if x})
-            for cols in itertools.combinations(support, n):
-                c = det(Matrix(n, n, [row[j] for row in rows for j in cols]))
-                if c:
-                    add_scaled(acc, cols, c, vec.entries)
+            for cols, c in _row_minors(m, key).items():
+                add_scaled(acc, cols, c, vec.entries)
         return {key: Vector(v) for key, v in acc.items()}
 
     def _apply_slot_maps(self, maps: Sequence[Optional[Matrix]],
@@ -332,6 +354,20 @@ def add_scaled(acc: Dict[Tuple[int, ...], List[Fraction]], key: Tuple[int, ...],
     for r, v in enumerate(vals):
         if v:
             row[r] += c * v
+
+
+def _row_minors(m: Matrix, rows: Tuple[int, ...]) -> Dict[Tuple[int, ...], Fraction]:
+    """The nonzero minors det(m[rows, J]), keyed by the increasing column
+    tuples J within the columns where those rows have entries."""
+    q = len(rows)
+    sub = [m.entries[i * m.cols:(i + 1) * m.cols] for i in rows]
+    support = sorted({j for row in sub for j, x in enumerate(row) if x})
+    out = {}
+    for cols in itertools.combinations(support, q):
+        c = det(Matrix(q, q, [row[j] for row in sub for j in cols]))
+        if c:
+            out[cols] = c
+    return out
 
 
 def _is_identity(m: Matrix, n: int) -> bool:

@@ -15,13 +15,15 @@ strictly increasing tuples: both sides of the identity are alternating
 multilinear in the x-block and the y-block, so increasing tuples span all
 cases and the cost drops combinatorially.  It builds both sides from nonzero
 entries only, reading the bracket and its twisted copies through
-``free_slot_items``, so skew storage is never expanded; so does the
-representation identity, whose sides are an operator product of two tensors
-and a sum of substitutions with their slots reordered by ``permute``.
-Invariance of a form is the sum of one tensor and its ``swap_output`` in the
-last slot, which must vanish.  On skew storage the skew-symmetry check
-passes without expanding the tensor, since that storage is alternating by
-construction, and two skew-storage tensors are compared on their stored keys.
+``free_slot_items``, so skew storage is never expanded when all twists are
+one map; so does the representation identity, whose sides are an operator
+product of two tensors and a sum of substitutions with their slots
+reordered by ``permute``.  Invariance of a form is the residual
+W(x, i)_j + W(x, j)_i of one tensor W, which must vanish; on skew storage
+it is read off the stored keys for increasing x.  On skew storage the
+skew-symmetry check passes without expanding the tensor, since that storage
+is alternating by construction, and two skew-storage tensors are compared
+on their stored keys.
 
 One loop over all tuples is left: the fundamental identity without a skew
 claim.  The same construction would make it about three times faster, but
@@ -176,13 +178,13 @@ def check_hom_nambu_identity(a: HomNambuAlgebra,
     skew = a.skew
     count = _tuple_count(d, n - 1, skew) * _tuple_count(d, n, skew)
     _budget(count, max_tuples)
+    if skew:
+        return _skew_identity(a, count)
 
     # left side: [a1(x1), ..., a_{n-1}(x_{n-1}), w] with w a free last slot
     top = C.transform(list(a.twists) + [None])
     # right side, term i: slot i free, slots j<i carry a_j, slots j>i carry a_{j-1}
     side = [C.transform(_twist_slots(a.twists, n, i)) for i in range(n)]
-    if skew:
-        return _skew_identity(C, top, side, count)
 
     checked = 0
     for x in all_tuples(d, n - 1):
@@ -211,32 +213,40 @@ def _comb_rank(t: Tuple[int, ...], d: int) -> int:
     return comb(d, m) - 1 - sum(comb(d - 1 - v, m - p) for p, v in enumerate(t))
 
 
-def _skew_identity(C: BracketTensor, top: BracketTensor, side: List[BracketTensor],
-                   count: int) -> CheckReport:
+def _skew_identity(a: HomNambuAlgebra, count: int) -> CheckReport:
     """The fundamental identity on increasing x and y, from nonzero entries only.
 
     For each increasing x with a nonzero [x, .] or twisted [a(x), .], both
     sides are accumulated as rows keyed by increasing y: the left side from
-    the stored values [y], the right side from the entries of each side
-    tensor, grouped by their free-slot index, times the coordinates of
-    [x, y_i].  Every tensor is read through ``free_slot_items``, which on
-    skew storage yields the needed entries from the stored keys and on dense
-    storage keeps the keys that increase, so a skew claim on dense storage
-    gets the same verdict as the loop over increasing tuples.  The first
-    differing (x, y) is reported with its position in that loop."""
+    the stored values [y], the right side from the entries of each twisted
+    copy of the bracket with slot i free, grouped by their slot-i index,
+    times the coordinates of [x, y_i].  Every tensor is read through
+    ``free_slot_items``, which on skew storage yields the needed entries from
+    the stored keys (by minors of the twist when all twists are one map) and
+    on dense storage keeps the keys that increase, so a skew claim on dense
+    storage gets the same verdict as the loop over increasing tuples.  The
+    first differing (x, y) is reported with its position in that loop."""
+    C = a.bracket
     d, n = C.dim, C.arity
+    # copy i: slot i free, slots j < i carry a_j, slots j > i carry a_{j-1};
+    # copy n-1 is the left side's [a1(x1), ..., a_{n-1}(x_{n-1}), w]
+    if all(t == a.twists[0] for t in a.twists[1:]):
+        copies = [C.free_slot_items(i, a.twists[0]) for i in range(n)]
+    else:
+        copies = [C.transform(_twist_slots(a.twists, n, i)).free_slot_items(i)
+                  for i in range(n)]
     brackets: Dict[Tuple[int, ...], list] = {}       # x -> [(k, [x, e_k])]
     for t, v in C.free_slot_items(n - 1):
         brackets.setdefault(t[:-1], []).append((t[-1], v.entries))
     twisted: Dict[Tuple[int, ...], dict] = {}        # x -> {j: [a(x), e_j]}
-    for t, v in top.free_slot_items(n - 1):
+    for t, v in copies[n - 1]:
         twisted.setdefault(t[:-1], {})[t[-1]] = v.entries
     values = [(y, v.entries) for y, v in C.coeffs.items() if is_increasing(y)]
-    # side[i] entries whose other slots increase, grouped by their slot-i index;
-    # slot i takes k with lo < k < hi
+    # entries of copy i whose other slots increase, grouped by their slot-i
+    # index; slot i takes k with lo < k < hi
     groups: Dict[int, list] = {}
-    for i, s in enumerate(side):
-        for t, v in s.free_slot_items(i):
+    for i, items in enumerate(copies):
+        for t, v in items:
             head, tail = t[:i], t[i + 1:]
             groups.setdefault(t[i], []).append(
                 (head[-1] if head else -1, tail[0] if tail else d, head, tail, v.entries))
@@ -342,20 +352,28 @@ def check_quadratic(q: QuadraticStructure,
     beta = q.beta if q.beta is not None else Matrix.identity(d)
     count = d ** (n - 1)
     _budget(count, max_tuples)
-    # W(x, i)_j = B([x, e_i], beta e_j) and S(x, i)_j = W(x, j)_i, so
-    # invariance is W + S = 0; the first nonzero is the first failing x + (i, j)
+    # W(x, i)_j = B([x, e_i], beta e_j); invariance is the residual
+    # W(x, i)_j + W(x, j)_i = 0, and the first failure is the least x + (i, j)
     W = a.bracket.transform([None] * n, out_map=beta.T @ G)
-    S = W.swap_output(n - 1)
-    R = BracketTensor.combine([(1, W), (1, S)])
-    if R.coeffs:
-        t = min(R.coeffs)
-        j = next(j for j, c in enumerate(R.coeffs[t].entries) if c)
-        return CheckReport("quadratic", False,
-                           Counterexample(t + (j,), Vector([W.value(t)[j]]),
-                                          Vector([-S.value(t)[j]])),
-                           tuple_position(t[:-1], d) + 1,
-                           detail="invariance identity fails",
-                           warnings=tuple(warnings))
+    rows: Dict[Tuple[int, ...], Dict[int, tuple]] = {}    # x -> {i: W(x, i)}
+    # skew storage alternates in x, and the sorted arrangement of x is the
+    # least, so increasing x suffice, read off the stored keys
+    for t, v in W.free_slot_items(n - 1) if W.skew_storage else W.coeffs.items():
+        rows.setdefault(t[:-1], {})[t[-1]] = v.entries
+    zero = (0,) * d
+    for x in sorted(rows):
+        wx = rows[x]
+        # the residual is symmetric in (i, j), so the least failing pair is sorted
+        bad = [tuple(sorted((i, j))) for i, w in wx.items() for j, c in enumerate(w)
+               if c and c + wx.get(j, zero)[i]]
+        if bad:
+            i, j = min(bad)
+            return CheckReport("quadratic", False,
+                               Counterexample(x + (i, j), Vector([wx.get(i, zero)[j]]),
+                                              Vector([-wx.get(j, zero)[i]])),
+                               tuple_position(x, d) + 1,
+                               detail="invariance identity fails",
+                               warnings=tuple(warnings))
     return CheckReport("quadratic", True, None, count, warnings=tuple(warnings))
 
 

@@ -8,6 +8,7 @@ All output is deterministic.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -329,7 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("selectors", nargs="*",
                    help=f"identities to check (default: all applicable); "
                         f"choose from {', '.join(SELECTORS)}")
-    p.set_defaults(func=cmd_verify)
 
     p = subs.add_parser("construct", parents=[common], help="build a new algebra from inputs")
     p.add_argument("construction",
@@ -353,7 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-k", type=int, default=1, help="iteration count (raise)")
     p.add_argument("-p", type=int, default=1,
                    help="number of twisted slots (centroid-bracket)")
-    p.set_defaults(func=cmd_construct)
 
     p = subs.add_parser("solve", parents=[common], help="compute a structure space basis")
     p.add_argument("file")
@@ -361,16 +360,20 @@ def build_parser() -> argparse.ArgumentParser:
                                      "central-derivations"))
     p.add_argument("k", nargs="?", type=int, default=0,
                    help="twist power level (centroid/derivations)")
-    p.set_defaults(func=cmd_solve)
 
     p = subs.add_parser("report", parents=[common], help="summary table, one row per file")
     p.add_argument("files", nargs="+")
-    p.set_defaults(func=cmd_report)
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and kept for the process."""
+    return build_parser()
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     # the shared flags may arrive before or after the subcommand; fall back
     # to the documented defaults when neither position supplied them
@@ -381,7 +384,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.print_usage(sys.stderr)
         return 2
     try:
-        return args.func(args)
+        # looked up at call time, so a replaced cmd_* function is the one run
+        return globals()[f"cmd_{args.command}"](args)
     except UsageError as e:
         sys.stderr.write(f"error: {e}\n")
         return 2

@@ -1,10 +1,12 @@
 """Exact rational linear algebra: vectors, matrices, nullspaces, ranks, determinants.
 
 Everything is built on ``fractions.Fraction``, and one elimination routine
-(``_echelon``, on rows scaled to Python integers) serves RREF, rank,
-solving and nullspaces, so all results are exact; no operation ever rounds.
-Solution-space bases are returned in reduced echelon normal form, which
-makes them canonical: two calls on equal matrices return identical bases.
+(``_echelon``, on rows of Python integers) serves RREF, rank, solving and
+nullspaces, so all results are exact; no operation ever rounds.  Rows that
+arrive as integers, such as the equations ``spaces`` assembles, need no
+``Fraction`` work; rational rows are first scaled to integers.  Solution-space
+bases are returned in reduced echelon normal form, which makes them
+canonical: two calls on equal matrices return identical bases.
 """
 
 from __future__ import annotations
@@ -263,7 +265,8 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
 
 
 class SparseMatrix:
-    """Rows of a linear system as {column: value} dicts; absent entries are zero."""
+    """Rows of a linear system as {column: value} dicts, the values ints or
+    Fractions; absent entries are zero."""
 
     __slots__ = ("rows", "cols", "row_dicts")
 
@@ -286,7 +289,10 @@ def _primitive(row: dict) -> dict:
 
 
 def _integer_row(row: dict) -> dict:
-    """The nonzero entries of a rational row, scaled to coprime integers."""
+    """The nonzero entries of an integer or rational row, scaled to coprime
+    integers; an integer row is only copied and divided by its gcd."""
+    if all(type(x) is int for x in row.values()):
+        return _primitive({j: x for j, x in row.items() if x})
     den = lcm(*(x.denominator for x in row.values()))
     return _primitive({j: x.numerator * (den // x.denominator)
                        for j, x in row.items() if x})
@@ -311,6 +317,8 @@ def _eliminate(row: dict, pivot: dict, c: int) -> None:
 def _echelon(rows: Iterable[dict], ncols: int) -> dict:
     """Fully reduced echelon form of the span of the rows, built one row at a time.
 
+    Rows are {column: int or Fraction} dicts and are not modified; an integer
+    row needs no ``Fraction`` work, a rational one is scaled to integers first.
     Returns {pivot column: primitive integer row}; each row's pivot is its
     leftmost entry, is positive, and is the only nonzero entry of any pivot
     column in the set.  Sorted by pivot and divided by the pivot entries, the
@@ -379,10 +387,10 @@ def rank(m: Matrix) -> int:
 def nullspace(m) -> list:
     """Exact basis of {v : m v = 0}, canonicalized to echelon normal form.
 
-    ``m`` is a Matrix or a SparseMatrix.  Its rows are reduced one at a time
-    against the current fully reduced echelon basis, with fraction-free
-    integer steps (as in Bareiss 1968) and each row kept divided by the gcd
-    of its entries.  An empty or zero matrix yields the full-space standard
+    ``m`` is a Matrix or a SparseMatrix with integer or rational rows.  Its
+    rows are reduced one at a time against the current fully reduced echelon
+    basis, with fraction-free integer steps (as in Bareiss 1968) and each row
+    kept divided by the gcd of its entries.  An empty or zero matrix yields the full-space standard
     basis.
     """
     n = m.cols

@@ -2,16 +2,21 @@
 
 Spaces of endomorphisms are computed as nullspaces of exactly-assembled
 linear systems over the rationals; membership of a single candidate is
-checked directly against the defining equations instead.  For a bracket in
-skew storage the equations alternate in the bracket's slots (the centroid's
-in all but the first), so one equation per orbit is assembled, read off the
-stored keys without expanding them.
+checked directly against the defining equations instead.  The equations
+are assembled as rows of Python integers: every entry read is scaled by one
+common denominator, which leaves the nullspace as it is, and ``linalg``
+reduces the rows without any ``Fraction`` work.  For a bracket in skew
+storage the equations alternate in the bracket's slots (the centroid's in
+all but the first), so one equation per orbit is assembled, read off the
+stored keys without expanding them; the twist power alpha^k in the other
+slots enters through minors of alpha^k, at any k.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import (BracketTensor, HomAssocNAry, HomLeibnizAlgebra, HomNambuAlgebra,
@@ -49,63 +54,76 @@ def _twist_power(a, k: int) -> Matrix:
 
 
 def _assemble(d: int, width: int, lhs: Optional[BracketTensor],
-              patterns: Sequence[Tuple[int, BracketTensor]],
-              free: Optional[int] = None) -> List[Dict[int, Fraction]]:
+              patterns: Sequence[Tuple[int, BracketTensor, Optional[Matrix]]],
+              free: Optional[int] = None) -> List[Dict[int, int]]:
     """Linear equations on an unknown d-by-width matrix X, from nonzero entries only.
 
     For each basis tuple t and output coordinate r the equation reads
-    sum_s lhs(t)_s X[r, s] = sum over (i, P) in patterns of
-    sum_j P(t with j in slot i)_r X[j, t_i], where slot i of t ranges over
-    range(width); a lhs term needs width = d.  Rows are {column: coefficient}
-    dicts with X[u, s] in column u * width + s; rows that vanish and repeats
-    of an earlier row are dropped.
+    sum_s lhs(t)_s X[r, s] = sum over (i, P, M) in patterns of
+    sum_j P'(t with j in slot i)_r X[j, t_i], where P' is P with the map M
+    in every slot but i (None: no map) and slot i of t ranges over
+    range(width); a lhs term needs width = d.  Every entry read is scaled by
+    one common denominator L > 0, the lcm of their denominators, so the rows
+    are {column: int} dicts with X[u, s] in column u * width + s; this
+    leaves the nullspace as it is.  Rows that vanish and repeats of an
+    earlier row are dropped.
 
     With ``free`` = f the equations alternate in the slots from f on (the
     bracket has skew storage), so only t with t[f:] strictly increasing is
     assembled, one equation per orbit: the others repeat or negate it, or
-    vanish.  The entries are read through ``free_slot_items``; f = 1 takes
-    the lhs and patterns on slot 0 only.
+    vanish.  The entries are read through ``free_slot_items``, which applies
+    M by minors without expanding the storage; f = 1 takes the lhs and
+    patterns on slot 0 only.
     """
-    rows: Dict[Tuple[Tuple[int, ...], int], Dict[int, Fraction]] = {}
-
-    def add(t, r, col, x):
-        row = rows.setdefault((t, r), {})
-        row[col] = row.get(col, 0) + x
-
-    def entries(tensor, i):
+    def entries(tensor, i, m):
         """(key, value, the values slot i of an assembled t may take)."""
         if free is None:
+            if m is not None:
+                tensor = tensor.transform([None if j == i else m
+                                           for j in range(tensor.arity)])
             return [(key, vec, range(width)) for key, vec in tensor.dense_items()]
         if free == 1:
-            return [(key, vec, range(width)) for key, vec in tensor.free_slot_items(0)]
+            return [(key, vec, range(width)) for key, vec in tensor.free_slot_items(0, m)]
         # free == 0: slot i lies strictly between its neighbours
         return [(key, vec, range(key[i - 1] + 1 if i else 0,
                                  key[i + 1] if i + 1 < len(key) else width))
-                for key, vec in tensor.free_slot_items(i)]
+                for key, vec in tensor.free_slot_items(i, m)]
 
-    if lhs is not None:
-        for t, vec, slot0 in entries(lhs, 0):
-            if t[0] in slot0:
-                for s, x in enumerate(vec.entries):
-                    if x:
-                        for r in range(d):
-                            add(t, r, r * width + s, x)
-    for i, pattern in patterns:
-        for key, vec, slot in entries(pattern, i):
+    lhs_items = entries(lhs, 0, None) if lhs is not None else []
+    pattern_items = [(i, entries(pattern, i, m)) for i, pattern, m in patterns]
+    scale = lcm(*{x.denominator for items in [lhs_items] + [it for _, it in pattern_items]
+                  for _, vec, _ in items for x in vec.entries})
+    rows: Dict[Tuple[Tuple[int, ...], int], Dict[int, int]] = {}
+    for t, vec, slot0 in lhs_items:
+        if t[0] in slot0:
+            for s, x in enumerate(vec.entries):
+                if x:
+                    x = x.numerator * (scale // x.denominator)
+                    for r in range(d):
+                        row = rows.setdefault((t, r), {})
+                        c = r * width + s
+                        row[c] = row.get(c, 0) + x
+    for i, items in pattern_items:
+        for key, vec, slot in items:
+            head, tail, col = key[:i], key[i + 1:], key[i] * width
             for r, x in enumerate(vec.entries):
                 if x:
+                    x = x.numerator * (scale // x.denominator)
                     for ti in slot:
-                        add(key[:i] + (ti,) + key[i + 1:], r, key[i] * width + ti, -x)
+                        row = rows.setdefault((head + (ti,) + tail, r), {})
+                        c = col + ti
+                        row[c] = row.get(c, 0) - x
     out, seen = [], set()
     for row in rows.values():
-        key = frozenset((c, x) for c, x in row.items() if x)
-        if key and key not in seen:
+        row = {c: x for c, x in row.items() if x}
+        key = frozenset(row.items())
+        if row and key not in seen:
             seen.add(key)
             out.append(row)
     return out
 
 
-def _matrix_nullspace_basis(rows: List[Dict[int, Fraction]], d: int) -> SubspaceBasis:
+def _matrix_nullspace_basis(rows: List[dict], d: int) -> SubspaceBasis:
     sols = nullspace(SparseMatrix(d * d, rows))
     return SubspaceBasis("matrix", d, tuple(Matrix(d, d, v.entries) for v in sols))
 
@@ -115,9 +133,8 @@ def compute_centroid(a: HomNambuAlgebra, k: int) -> SubspaceBasis:
     alpha^k x_n], as a canonical matrix basis."""
     d, n = a.dim, a.arity
     pw = _twist_power(a, k)
-    pattern = a.bracket.transform([None] + [pw] * (n - 1))
     free = 1 if a.bracket.skew_storage else None
-    return _matrix_nullspace_basis(_assemble(d, d, a.bracket, [(0, pattern)], free), d)
+    return _matrix_nullspace_basis(_assemble(d, d, a.bracket, [(0, a.bracket, pw)], free), d)
 
 
 def _centroid_report(identity: str, bracket: BracketTensor, f: Matrix,
@@ -140,12 +157,11 @@ def compute_derivations(a: HomNambuAlgebra, k: int) -> SubspaceBasis:
     d, n = a.dim, a.arity
     alpha = a.twist
     pw = _twist_power(a, k)
-    patterns = [(i, a.bracket.transform([pw if j != i else None for j in range(n)]))
-                for i in range(n)]
+    patterns = [(i, a.bracket, pw) for i in range(n)]
     rows = _assemble(d, d, a.bracket, patterns, 0 if a.bracket.skew_storage else None)
     # D alpha = alpha D: the same equations for the unary "bracket" alpha
     unary = BracketTensor(d, 1, {(v,): alpha.col(v) for v in range(d)})
-    rows += _assemble(d, d, unary, [(0, unary)])
+    rows += _assemble(d, d, unary, [(0, unary, None)])
     return _matrix_nullspace_basis(rows, d)
 
 
@@ -183,7 +199,7 @@ def inner_derivation(a: HomNambuAlgebra, x: Sequence[Vector], k: int) -> Matrix:
 
 def compute_center(a: HomNambuAlgebra) -> SubspaceBasis:
     """Vectors z with [z, x_2, ..., x_n] = 0 for all basis choices."""
-    rows = _assemble(a.dim, 1, None, [(0, a.bracket)],
+    rows = _assemble(a.dim, 1, None, [(0, a.bracket, None)],
                      1 if a.bracket.skew_storage else None)
     return SubspaceBasis("vector", a.dim, tuple(nullspace(SparseMatrix(a.dim, rows))))
 

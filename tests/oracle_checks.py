@@ -4,13 +4,16 @@ comparison of two sparse tensors, the Hom-Leibniz loop from before it
 became the arity-2 fundamental identity, and the fundamental-identity and
 quadratic-invariance loops from before their sparse kernels.  Every basis
 tuple gets its own ``value`` lookups and fresh Vector arithmetic.  Tests
-compare the library's reports against them.
+compare the library's reports against them.  ``quadratic_swap`` is the
+invariance check from before it read skew storage unexpanded: the tensor
+plus its ``swap_output``, both expanded into every signed permutation.
 """
 
 from math import comb
 from typing import List, Optional, Tuple
 
-from nambucat.algebra import BracketTensor, all_tuples, increasing_tuples
+from nambucat.algebra import (BracketTensor, all_tuples, increasing_tuples,
+                              tuple_position)
 from nambucat.checks import CheckReport, Counterexample, _budget, _twist_slots
 from nambucat.linalg import Matrix, Vector, rank
 from nambucat.spaces import _twist_power
@@ -270,3 +273,36 @@ def quadratic(q, max_tuples=None) -> CheckReport:
                                detail="invariance identity fails",
                                warnings=tuple(warnings))
     return CheckReport("quadratic", True, None, checked, warnings=tuple(warnings))
+
+
+def quadratic_swap(q, max_tuples=None) -> CheckReport:
+    a = q.algebra
+    n, d = a.arity, a.dim
+    G = q.form.gram
+    warnings: List[str] = []
+    if not G.is_symmetric():
+        return CheckReport("quadratic", False, None, 0, detail="gram matrix not symmetric")
+    r = rank(G)
+    if r < d:
+        warnings.append(f"form is degenerate: rank {r} < dim {d}")
+    for i, t in enumerate(a.twists):
+        if t.T @ G != G @ t:
+            return CheckReport("quadratic", False, None, 0,
+                               detail=f"form not symmetric with respect to twist {i + 1}",
+                               warnings=tuple(warnings))
+    beta = q.beta if q.beta is not None else Matrix.identity(d)
+    count = d ** (n - 1)
+    _budget(count, max_tuples)
+    W = a.bracket.transform([None] * n, out_map=beta.T @ G)
+    S = W.swap_output(n - 1)
+    R = BracketTensor.combine([(1, W), (1, S)])
+    if R.coeffs:
+        t = min(R.coeffs)
+        j = next(j for j, c in enumerate(R.coeffs[t].entries) if c)
+        return CheckReport("quadratic", False,
+                           Counterexample(t + (j,), Vector([W.value(t)[j]]),
+                                          Vector([-S.value(t)[j]])),
+                           tuple_position(t[:-1], d) + 1,
+                           detail="invariance identity fails",
+                           warnings=tuple(warnings))
+    return CheckReport("quadratic", True, None, count, warnings=tuple(warnings))

@@ -21,7 +21,7 @@ from nambucat import (BilinearForm, BracketTensor, HomAssocNAry,
                       HomLeibnizAlgebra, HomNambuAlgebra, Matrix,
                       QuadraticStructure, TupleBudgetExceeded, Vector, corpus)
 from nambucat import fileio
-from nambucat.algebra import all_tuples
+from nambucat.algebra import all_tuples, is_increasing
 from nambucat.checks import (_compare, check_hom_leibniz, check_hom_nambu_identity,
                              check_morphism, check_multiplicativity,
                              check_quadratic, check_skew_symmetry,
@@ -398,6 +398,7 @@ def perturbed_quadratic(draw):
 @given(perturbed_quadratic())
 def test_perturbed_quadratic_structures_match_oracle(q):
     _same(check_quadratic, oracle.quadratic, q)
+    _same(check_quadratic, oracle.quadratic_swap, q)
 
 
 def test_quadratic_perturbations_fail_at_inner_tuples():
@@ -494,3 +495,91 @@ def test_skew_identity_matches_dense_oracle(case, data):
         twists = tuple(data.draw(slot_maps(d, "invertible")) for _ in range(n - 1))
     a = HomNambuAlgebra(d, n, C, twists, skew=True)
     _same(check_hom_nambu_identity, oracle_skew.hom_nambu_identity, a)
+
+
+# ------------------- skew storage read through minors, invariance unexpanded
+
+@settings(max_examples=150, deadline=None)
+@given(skew_cases(), st.data())
+def test_mapped_free_slot_items_match_transform(case, data):
+    """The entries with slot i free and the other slots increasing, of the
+    tensor with one square map in every other slot, equal those the dense
+    oracle transform gives, on skew and on dense storage."""
+    d, n, _, C = case
+    if data.draw(st.booleans()):
+        C = BracketTensor(d, n, dict(C.dense_items()), vdim=C.vdim)
+    kind = data.draw(st.sampled_from(("identity", "invertible", "singular", "zero")))
+    m = Matrix.zero(d, d) if kind == "zero" else data.draw(slot_maps(d, kind))
+    slot = data.draw(st.integers(0, n - 1))
+    maps = [None if k == slot else m for k in range(n)]
+    got = C.free_slot_items(slot, m)
+    want = {t: v for t, v in oracle_skew.transform(C, maps).coeffs.items()
+            if is_increasing(t[:slot] + t[slot + 1:])}
+    assert len(dict(got)) == len(got)
+    assert dict(got) == want
+    assert dict(got) == dict(C.transform(maps).free_slot_items(slot))
+
+
+def test_mapped_free_slot_items_reject_a_rectangular_map():
+    C = filippov(4).bracket
+    with pytest.raises(ValueError, match="slot map has wrong shape"):
+        C.free_slot_items(1, Matrix.zero(4, 3))
+
+
+@st.composite
+def skew_quadratic(draw):
+    """A random skew-storage bracket with identity twists, a random
+    symmetric form (maybe degenerate) and beta: invariance usually fails."""
+    d = draw(st.integers(2, 5))
+    n = draw(st.integers(2, min(d, 4)))
+    C = draw(skew_tensors(d, n, d))
+    g = matrix(draw, d, d)
+    gram = g + g.T
+    beta = draw(st.one_of(st.none(), slot_maps(d, "invertible")))
+    a = HomNambuAlgebra(d, n, C, (Matrix.identity(d),) * (n - 1), skew=True)
+    return QuadraticStructure(a, BilinearForm(d, gram), beta=beta)
+
+
+@settings(max_examples=150, deadline=None)
+@given(skew_quadratic())
+def test_skew_quadratic_matches_swap_oracle(q):
+    """Invariance read off skew storage gives the report of the tensor plus
+    its swap_output, and so does the same bracket in dense storage."""
+    _same(check_quadratic, oracle.quadratic_swap, q)
+    _same(check_quadratic, oracle.quadratic, q)
+    a = q.algebra
+    dense = replace(a, bracket=BracketTensor(a.dim, a.arity, dict(a.bracket.dense_items())))
+    _same(check_quadratic, oracle.quadratic_swap, replace(q, algebra=dense))
+
+
+def _no_expansion(monkeypatch):
+    """Make expanding skew storage an error."""
+    dense_items = BracketTensor.dense_items
+
+    def guarded(self):
+        assert not self.skew_storage, "skew storage expanded"
+        return dense_items(self)
+    monkeypatch.setattr(BracketTensor, "dense_items", guarded)
+
+
+def test_skew_storage_stays_unexpanded_under_a_common_twist(monkeypatch):
+    """The T*-extension of A5, with identity twists, with one invertible
+    twist and with the zero twist: every space at k = -1..2, the skew
+    identity and invariance never expand skew storage."""
+    from nambucat.spaces import compute_center, compute_central_derivations
+    q = tstar_extension(filippov(5), BilinearForm.standard(5)).structure
+    a = q.algebra
+    d, n = a.dim, a.arity
+    twist = Matrix(d, d, [1 if i == j else 1 if j == i + 1 and i % 2 == 0 else 0
+                          for i in range(d) for j in range(d)])
+    _no_expansion(monkeypatch)
+    for alpha in (Matrix.identity(d), twist, Matrix.zero(d, d)):
+        b = replace(a, twists=(alpha,) * (n - 1))
+        assert b.bracket.skew_storage
+        for k in (-1, 0, 1, 2):
+            compute_centroid(b, k)
+            compute_derivations(b, k)
+        compute_center(b)
+        compute_central_derivations(b)
+        check_hom_nambu_identity(b)
+    assert check_quadratic(q).passed

@@ -429,3 +429,46 @@ def test_no_args_usage(capsys):
 def test_unknown_command(capsys):
     code, _, err = run(capsys)
     assert code == 2
+
+
+# ---------------------------------------------------------------- parser reuse
+
+def test_parser_is_built_once_and_reused_like_a_fresh_one(capsys, monkeypatch, tmp_path):
+    """Back-to-back calls of main share one parser and give the exit code,
+    stdout and stderr of calls that each build their own: mixed
+    subcommands, the shared flags before and after the subcommand, and
+    usage errors."""
+    calls = [
+        ("verify", cp("simple3lie4")),
+        ("--format", "text", "verify", cp("sl2")),
+        ("verify", cp("sl2"), "--format", "text"),
+        ("--max-tuples", "10", "verify", cp("simple3lie4")),
+        ("verify", cp("simple3lie4"), "--max-tuples", "10"),
+        ("solve", cp("heisenberg3"), "derivations", "-1"),
+        ("--format", "text", "solve", cp("sl2"), "centroid"),
+        ("solve", cp("sl2"), "nonsense"),
+        ("report", cp("sl2"), cp("example2"), "--format", "text"),
+        ("construct", "tstar", cp("simple3lie4"), "-o", str(tmp_path / "t.json")),
+        ("verify",),
+        ("--parallel", "2", "verify", cp("sl2")),
+        (),
+        ("verify", cp("sl2")),
+    ]
+    fresh = []
+    for argv in calls:
+        cli._parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    built = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+    cli._parser.cache_clear()
+    assert [run(capsys, *argv) for argv in calls] == fresh
+    assert len(built) == 1
+    assert {code for code, _, _ in fresh} == {0, 1, 2}
+
+
+def test_dispatch_finds_a_replaced_command(capsys, monkeypatch):
+    """The parser is kept, but each call looks its cmd_* function up anew."""
+    run(capsys, "verify", cp("sl2"))
+    monkeypatch.setattr(cli, "cmd_verify", lambda args: 7)
+    assert run(capsys, "verify", cp("sl2"))[0] == 7

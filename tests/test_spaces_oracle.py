@@ -10,11 +10,15 @@ from hypothesis import strategies as st
 
 import oracle_skew
 import oracle_spaces as oracle
+import itertools
+
 from conftest import filippov, skew_tensors, slot_maps
+from nambucat import BracketTensor, Vector
 from nambucat import BilinearForm, HomNambuAlgebra, Matrix, corpus
 from nambucat.constructions import induced_hom_leibniz, tstar_extension
 from nambucat.fileio import subspace_to_document
 from nambucat.linalg import SparseMatrix, nullspace, solve_matrix
+from nambucat.spaces import _assemble, _twist_power
 from nambucat.spaces import (compute_center, compute_central_derivations,
                              compute_centroid, compute_derivations)
 
@@ -173,3 +177,103 @@ def test_filippov_a6_against_theory():
     assert compute_centroid(a, 0).dimension == 1
     assert compute_derivations(a, 0).dimension == 15
     assert compute_center(a).dimension == 0
+
+
+# ------------------------------------------ integer rows against Fraction rows
+
+def _integer_systems(a, k):
+    """{space: the rows the solvers hand to the nullspace} at level k, the
+    derivations without the rows of D alpha = alpha D."""
+    d, n = a.dim, a.arity
+    pw = _twist_power(a, k)
+    skew = a.bracket.skew_storage
+    return {"centroid": _assemble(d, d, a.bracket, [(0, a.bracket, pw)], 1 if skew else None),
+            "derivations": _assemble(d, d, a.bracket, [(i, a.bracket, pw) for i in range(n)],
+                                     0 if skew else None),
+            "center": _assemble(d, 1, None, [(0, a.bracket, None)], 1 if skew else None)}
+
+
+def _fraction_systems(a, k):
+    return {"centroid": oracle_skew.fraction_centroid_rows(a, k),
+            "derivations": oracle_skew.fraction_derivation_rows(a, k),
+            "center": oracle_skew.fraction_center_rows(a)}
+
+
+def _by_direction(rows):
+    """Rows without zero entries, sorted by their entries divided by the
+    leading one and then by the leading entry; a common positive factor
+    keeps this order."""
+    rows = [{c: x for c, x in row.items() if x} for row in rows]
+
+    def key(row):
+        lead = row[min(row)]
+        return [(c, F(row[c]) / lead) for c in sorted(row)], F(lead)
+    return sorted(rows, key=key)
+
+
+def _assert_scaled(new, old):
+    """The integer rows are the Fraction rows, no more and no fewer, each
+    times one common positive factor (the rows may come in another order)."""
+    assert len(new) == len(old)
+    assert all(type(x) is int and x for row in new for x in row.values())
+    factors = set()
+    for row, want in zip(_by_direction(new), _by_direction(old)):
+        assert row.keys() == want.keys()
+        factors |= {F(x) / want[c] for c, x in row.items()}
+    assert len(factors) <= 1 and all(f > 0 for f in factors)
+
+
+def _assert_same_systems(a):
+    for k in LEVELS:
+        try:
+            new = _integer_systems(a, k)
+        except ValueError:      # distinct twists have no common power
+            with pytest.raises(ValueError, match="twists differ"):
+                _fraction_systems(a, k)
+        else:
+            old = _fraction_systems(a, k)
+            for space in new:
+                _assert_scaled(new[space], old[space])
+        _same(compute_centroid, oracle_skew.fraction_centroid, a, k)
+        _same(compute_derivations, oracle_skew.fraction_derivations, a, k)
+    _same(compute_center, oracle_skew.fraction_center, a)
+    _same(compute_central_derivations, oracle_skew.fraction_central_derivations, a)
+
+
+# the corpus, the solve-spaces bench inputs (A5, the T*-extension of A4 and
+# the induced Leibniz algebra of example1), and A6
+SYSTEM_INPUTS = dict(INPUTS)
+SYSTEM_INPUTS["tstar(A4)"] = tstar_extension(filippov(4), BilinearForm.standard(4)).algebra
+SYSTEM_INPUTS["A6"] = filippov(6)
+
+
+@pytest.mark.parametrize("name", sorted(SYSTEM_INPUTS))
+def test_integer_assembly_matches_fraction_assembly(name):
+    _assert_same_systems(SYSTEM_INPUTS[name])
+
+
+# entries with denominators 2, 3 and 6
+fractional = st.sampled_from([F(0), F(0), F(1), F(-1), F(2), F(1, 2), F(-1, 3), F(5, 6)])
+
+
+@st.composite
+def fractional_algebras(draw):
+    """A random bracket with non-integer entries, in skew or dense storage,
+    with one identity, invertible or singular twist scaled by 1, 1/3 or -2/3."""
+    d = draw(st.integers(2, 5))
+    n = draw(st.integers(2, min(d, 4)))
+    skew = draw(st.booleans())
+    keys = (list(itertools.combinations(range(d), n)) if skew
+            else list(itertools.product(range(d), repeat=n)))
+    chosen = draw(st.lists(st.sampled_from(keys), unique=True, max_size=6))
+    C = BracketTensor(d, n, {t: Vector(draw(st.lists(fractional, min_size=d, max_size=d)))
+                             for t in chosen}, skew_storage=skew)
+    alpha = draw(slot_maps(d, draw(st.sampled_from(("identity", "invertible", "singular")))))
+    alpha = alpha.scale(draw(st.sampled_from((1, F(1, 3), F(-2, 3)))))
+    return HomNambuAlgebra(d, n, C, (alpha,) * (n - 1), skew=skew)
+
+
+@settings(max_examples=80, deadline=None)
+@given(fractional_algebras())
+def test_integer_assembly_matches_fraction_assembly_on_random_brackets(a):
+    _assert_same_systems(a)
