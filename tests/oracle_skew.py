@@ -2,11 +2,12 @@
 expanding skew storage into every signed permutation and applying the slot
 maps one at a time, ``spaces._assemble`` walking every expanded entry, and
 the skew fundamental identity reading ``top`` and ``side`` through
-``.coeffs``, which assumes dense storage.  Also the assembly as it was
-before it became integer-native: ``fraction_assemble`` accumulates
-``Fraction`` rows, one per orbit on skew storage, from patterns that
-``transform`` built with the twist in every slot but the free one, and the
-four solvers built on it.  Tests compare the library against them.
+``.coeffs``, which assumes dense storage.  ``fraction_assemble`` is the
+assembly as it was before it became integer-native: ``Fraction`` rows from
+patterns already mapped, walking every expanded entry or, on skew storage,
+one equation per orbit; the ``fraction_*`` solvers build their patterns
+with the library's ``transform``, which expands skew storage when the
+slots carry different maps.  Tests compare the library against them.
 """
 
 from fractions import Fraction
@@ -16,7 +17,7 @@ from nambucat.algebra import BracketTensor, add_scaled, is_increasing
 from nambucat.checks import (CheckReport, Counterexample, _budget, _comb_rank,
                              _tuple_count, _twist_slots)
 from nambucat.linalg import Matrix, SparseMatrix, Vector, nullspace, rref
-from nambucat.spaces import SubspaceBasis, _derived_span, _twist_power
+from nambucat.spaces import SubspaceBasis, _twist_power
 
 
 def _is_identity(m: Matrix, n: int) -> bool:
@@ -53,27 +54,41 @@ def transform(tensor: BracketTensor, slot_maps: Sequence[Optional[Matrix]],
     return BracketTensor(width, tensor.arity, items, vdim=vdim)
 
 
-def _assemble(d: int, width: int, lhs: Optional[BracketTensor],
-              patterns: Sequence[Tuple[int, BracketTensor]]) -> List[Dict[int, Fraction]]:
-    """One equation per basis tuple t and output coordinate, every ordering of
-    a skew bracket's slots included; vanishing and repeated rows dropped."""
+def fraction_assemble(d: int, width: int, lhs: Optional[BracketTensor],
+                      patterns: Sequence[Tuple[int, BracketTensor]],
+                      free: Optional[int] = None) -> List[Dict[int, Fraction]]:
+    """The equations of ``spaces._assemble`` as ``Fraction`` rows, with each
+    pattern already mapped.  With ``free`` None every expanded entry is
+    walked, every ordering of a skew bracket's slots included; otherwise the
+    entries are read through ``free_slot_items``, one equation per orbit.
+    Vanishing and repeated rows are dropped."""
     rows: Dict[Tuple[Tuple[int, ...], int], Dict[int, Fraction]] = {}
 
     def add(t, r, col, x):
         row = rows.setdefault((t, r), {})
         row[col] = row.get(col, 0) + x
 
+    def entries(tensor, i):
+        if free is None:
+            return [(key, vec, range(width)) for key, vec in tensor.dense_items()]
+        if free == 1:
+            return [(key, vec, range(width)) for key, vec in tensor.free_slot_items(0)]
+        return [(key, vec, range(key[i - 1] + 1 if i else 0,
+                                 key[i + 1] if i + 1 < len(key) else width))
+                for key, vec in tensor.free_slot_items(i)]
+
     if lhs is not None:
-        for t, vec in lhs.dense_items():
-            for s, x in enumerate(vec.entries):
-                if x:
-                    for r in range(d):
-                        add(t, r, r * width + s, x)
+        for t, vec, slot0 in entries(lhs, 0):
+            if t[0] in slot0:
+                for s, x in enumerate(vec.entries):
+                    if x:
+                        for r in range(d):
+                            add(t, r, r * width + s, x)
     for i, pattern in patterns:
-        for key, vec in pattern.dense_items():
+        for key, vec, slot in entries(pattern, i):
             for r, x in enumerate(vec.entries):
                 if x:
-                    for ti in range(width):
+                    for ti in slot:
                         add(key[:i] + (ti,) + key[i + 1:], r, key[i] * width + ti, -x)
     out, seen = [], set()
     for row in rows.values():
@@ -93,7 +108,7 @@ def centroid(a, k: int) -> SubspaceBasis:
     d, n = a.dim, a.arity
     pw = _twist_power(a, k)
     pattern = transform(a.bracket, [None] + [pw] * (n - 1))
-    return _matrix_nullspace_basis(_assemble(d, d, a.bracket, [(0, pattern)]), d)
+    return _matrix_nullspace_basis(fraction_assemble(d, d, a.bracket, [(0, pattern)]), d)
 
 
 def derivations(a, k: int) -> SubspaceBasis:
@@ -102,20 +117,20 @@ def derivations(a, k: int) -> SubspaceBasis:
     pw = _twist_power(a, k)
     patterns = [(i, transform(a.bracket, [pw if j != i else None for j in range(n)]))
                 for i in range(n)]
-    rows = _assemble(d, d, a.bracket, patterns)
+    rows = fraction_assemble(d, d, a.bracket, patterns)
     unary = BracketTensor(d, 1, {(v,): alpha.col(v) for v in range(d)})
-    rows += _assemble(d, d, unary, [(0, unary)])
+    rows += fraction_assemble(d, d, unary, [(0, unary)])
     return _matrix_nullspace_basis(rows, d)
 
 
 def center(a) -> SubspaceBasis:
-    rows = _assemble(a.dim, 1, None, [(0, a.bracket)])
+    rows = fraction_assemble(a.dim, 1, None, [(0, a.bracket)])
     return SubspaceBasis("vector", a.dim, tuple(nullspace(SparseMatrix(a.dim, rows))))
 
 
-def central_derivations(a) -> SubspaceBasis:
+def central_derivations(a, center_of=center) -> SubspaceBasis:
     d = a.dim
-    cent = center(a)
+    cent = center_of(a)
     rows: List[Dict[int, Fraction]] = []
     if cent.dimension < d:
         annihilator = nullspace(SparseMatrix(d, [{s: x for s, x in enumerate(v) if x}
@@ -186,49 +201,6 @@ def hom_nambu_identity(a, max_tuples=None) -> CheckReport:
     return CheckReport("hom_nambu_identity", True, None, count)
 
 
-def fraction_assemble(d: int, width: int, lhs: Optional[BracketTensor],
-                      patterns: Sequence[Tuple[int, BracketTensor]],
-                      free: Optional[int] = None) -> List[Dict[int, Fraction]]:
-    """The equations of ``spaces._assemble`` as ``Fraction`` rows, with each
-    pattern already mapped; on skew storage (``free`` not None) the entries
-    are read through ``free_slot_items``, one equation per orbit."""
-    rows: Dict[Tuple[Tuple[int, ...], int], Dict[int, Fraction]] = {}
-
-    def add(t, r, col, x):
-        row = rows.setdefault((t, r), {})
-        row[col] = row.get(col, 0) + x
-
-    def entries(tensor, i):
-        if free is None:
-            return [(key, vec, range(width)) for key, vec in tensor.dense_items()]
-        if free == 1:
-            return [(key, vec, range(width)) for key, vec in tensor.free_slot_items(0)]
-        return [(key, vec, range(key[i - 1] + 1 if i else 0,
-                                 key[i + 1] if i + 1 < len(key) else width))
-                for key, vec in tensor.free_slot_items(i)]
-
-    if lhs is not None:
-        for t, vec, slot0 in entries(lhs, 0):
-            if t[0] in slot0:
-                for s, x in enumerate(vec.entries):
-                    if x:
-                        for r in range(d):
-                            add(t, r, r * width + s, x)
-    for i, pattern in patterns:
-        for key, vec, slot in entries(pattern, i):
-            for r, x in enumerate(vec.entries):
-                if x:
-                    for ti in slot:
-                        add(key[:i] + (ti,) + key[i + 1:], r, key[i] * width + ti, -x)
-    out, seen = [], set()
-    for row in rows.values():
-        key = frozenset((c, x) for c, x in row.items() if x)
-        if key and key not in seen:
-            seen.add(key)
-            out.append(row)
-    return out
-
-
 def _free(a, slot: int) -> Optional[int]:
     return slot if a.bracket.skew_storage else None
 
@@ -270,17 +242,4 @@ def fraction_center(a) -> SubspaceBasis:
 
 
 def fraction_central_derivations(a) -> SubspaceBasis:
-    """``spaces.compute_central_derivations`` with ``fraction_center``."""
-    d = a.dim
-    cent = fraction_center(a)
-    rows: List[Dict[int, Fraction]] = []
-    if cent.dimension < d:
-        annihilator = nullspace(SparseMatrix(d, [{s: x for s, x in enumerate(v) if x}
-                                                 for v in cent.basis]))
-        for w in annihilator:
-            for j in range(d):
-                rows.append({s * d + j: x for s, x in enumerate(w) if x})
-    for u in _derived_span(a):
-        for r in range(d):
-            rows.append({r * d + s: x for s, x in enumerate(u) if x})
-    return _matrix_nullspace_basis(rows, d)
+    return central_derivations(a, fraction_center)

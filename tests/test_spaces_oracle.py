@@ -1,6 +1,7 @@
 """The sparse structure-space solver against the dense reference solver,
 plus metamorphic and closed-form checks where the reference is too slow."""
 
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -10,17 +11,15 @@ from hypothesis import strategies as st
 
 import oracle_skew
 import oracle_spaces as oracle
-import itertools
-
 from conftest import filippov, skew_tensors, slot_maps
-from nambucat import BracketTensor, Vector
-from nambucat import BilinearForm, HomNambuAlgebra, Matrix, corpus
+from nambucat import (BilinearForm, BracketTensor, HomNambuAlgebra, Matrix, Vector,
+                      corpus)
 from nambucat.constructions import induced_hom_leibniz, tstar_extension
 from nambucat.fileio import subspace_to_document
 from nambucat.linalg import SparseMatrix, nullspace, solve_matrix
-from nambucat.spaces import _assemble, _twist_power
-from nambucat.spaces import (compute_center, compute_central_derivations,
-                             compute_centroid, compute_derivations)
+from nambucat.spaces import (_assemble, _twist_power, compute_center,
+                             compute_central_derivations, compute_centroid,
+                             compute_derivations)
 
 LEVELS = (-1, 0, 1, 2)
 
