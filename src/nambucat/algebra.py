@@ -5,16 +5,22 @@ basis index tuples to the coordinate vector of the bracket of those basis
 elements. The standard coordinate basis e_0..e_{d-1} is fixed throughout
 (serialized 1-based as e_1..e_d); change of basis is always an explicit
 transform, never implicit.
+
+Skew storage keeps the strictly increasing keys only.  A map applied to
+every slot of such a tensor enters through the minors of the map, which are
+built row by row as exterior products, so the storage is never expanded
+into its signed permutations.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .linalg import Matrix, Vector, det
+from .linalg import Matrix, Vector
 
 
 def perm_sign(perm: Sequence[int]) -> int:
@@ -140,10 +146,11 @@ class BracketTensor:
 
         On skew storage they are read off the stored keys without expanding
         them: stored key K gives one entry per position p, with K[p] moved to
-        ``slot`` and sign (-1)^(p - slot).  With a map, the other slots
-        R = K minus K[p] of that entry spread over the increasing J with
-        coefficient det(m[R, J]), an (n-1)-minor of m, and the entries that
-        land on one key are summed.  Dense storage is mapped by ``transform``.
+        ``slot`` and sign (-1)^(p - slot).  The other slots R = K minus K[p]
+        of that entry spread over the increasing J with coefficient
+        det(m[R, J]), an (n-1)-minor of m (without a map, J = R only), and
+        the entries that land on one key are summed.  Dense storage is
+        mapped by ``transform``.
         """
         if m is not None and _is_identity(m, self.dim):
             m = None
@@ -152,28 +159,27 @@ class BracketTensor:
                 [None if k == slot else m for k in range(self.arity)])
             return [(t, v) for t, v in src.coeffs.items()
                     if is_increasing(t[:slot] + t[slot + 1:])]
-        if m is None:
-            out = []
-            for key, vec in self.coeffs.items():
-                neg = -vec
-                for p, k in enumerate(key):
-                    rest = key[:p] + key[p + 1:]
-                    out.append((rest[:slot] + (k,) + rest[slot:],
-                                neg if (p - slot) % 2 else vec))
-            return out
-        if m.rows != self.dim or m.cols != self.dim:
+        if m is not None and (m.rows != self.dim or m.cols != self.dim):
             raise ValueError("slot map has wrong shape")
         minors: Dict[Tuple[int, ...], Dict[Tuple[int, ...], Fraction]] = {}
-        acc: Dict[Tuple[int, ...], List[Fraction]] = {}
+        acc: Dict[Tuple[int, ...], Vector] = {}
+        summed = set()      # the keys of several terms, the only ones that may cancel
         for key, vec in self.coeffs.items():
+            neg = -vec
             for p, k in enumerate(key):
                 rest = key[:p] + key[p + 1:]
                 if rest not in minors:
                     minors[rest] = _row_minors(m, rest)
-                sign = -1 if (p - slot) % 2 else 1
                 for cols, c in minors[rest].items():
-                    add_scaled(acc, cols[:slot] + (k,) + cols[slot:], sign * c, vec.entries)
-        return [(t, Vector(v)) for t, v in acc.items() if any(v)]
+                    c = -c if (p - slot) % 2 else c
+                    term = vec if c == 1 else neg if c == -1 else vec.scale(c)
+                    t = cols[:slot] + (k,) + cols[slot:]
+                    if t in acc:
+                        acc[t] = acc[t] + term
+                        summed.add(t)
+                    else:
+                        acc[t] = term
+        return [(t, v) for t, v in acc.items() if t not in summed or any(v.entries)]
 
     def eval(self, args: Sequence[Vector]) -> Vector:
         """Multilinear extension: the arguments substituted slot by slot
@@ -356,18 +362,29 @@ def add_scaled(acc: Dict[Tuple[int, ...], List[Fraction]], key: Tuple[int, ...],
             row[r] += c * v
 
 
-def _row_minors(m: Matrix, rows: Tuple[int, ...]) -> Dict[Tuple[int, ...], Fraction]:
+def _row_minors(m: Optional[Matrix], rows: Tuple[int, ...]
+                ) -> Dict[Tuple[int, ...], Fraction]:
     """The nonzero minors det(m[rows, J]), keyed by the increasing column
-    tuples J within the columns where those rows have entries."""
-    q = len(rows)
-    sub = [m.entries[i * m.cols:(i + 1) * m.cols] for i in rows]
-    support = sorted({j for row in sub for j, x in enumerate(row) if x})
-    out = {}
-    for cols in itertools.combinations(support, q):
-        c = det(Matrix(q, q, [row[j] for row in sub for j in cols]))
-        if c:
-            out[cols] = c
-    return out
+    tuples J; without a map (m None, the identity) that is {rows: 1}.
+
+    They are the coordinates of the exterior product of the rows, built one
+    row at a time: each nonzero entry (j, x) of the next row extends every
+    key J without j, and moving j from the end of J into place past the
+    columns of J above it gives the sign."""
+    if m is None:
+        return {rows: 1}
+    wedge: Dict[Tuple[int, ...], Fraction] = {(): 1}
+    for i in rows:
+        row = [(j, x) for j, x in enumerate(m.entries[i * m.cols:(i + 1) * m.cols]) if x]
+        nxt: Dict[Tuple[int, ...], Fraction] = {}
+        for cols, c in wedge.items():
+            for j, x in row:
+                if j not in cols:
+                    p = bisect_left(cols, j)
+                    key = cols[:p] + (j,) + cols[p:]
+                    nxt[key] = nxt.get(key, 0) + (-c * x if (len(cols) - p) % 2 else c * x)
+        wedge = {cols: c for cols, c in nxt.items() if c}
+    return wedge
 
 
 def _is_identity(m: Matrix, n: int) -> bool:
@@ -434,9 +451,9 @@ class HomLeibnizAlgebra:
         if self.twist.rows != self.dim or self.twist.cols != self.dim:
             raise ValueError("twist map has wrong shape")
 
-    def as_nambu(self, skew: bool = False) -> HomNambuAlgebra:
+    def as_nambu(self) -> HomNambuAlgebra:
         """View as an arity-2 Hom-Nambu algebra (shared checker machinery)."""
-        return HomNambuAlgebra(self.dim, 2, self.bracket, (self.twist,), skew=skew)
+        return HomNambuAlgebra(self.dim, 2, self.bracket, (self.twist,))
 
 
 @dataclass(frozen=True)

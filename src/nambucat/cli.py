@@ -1,8 +1,13 @@
 """Command-line front end.
 
 Exit codes: 0 all checks passed, 1 mathematical failure (failed identity,
-failed construction hypothesis, false flag claim), 2 usage or parse error.
-All output is deterministic.
+failed construction hypothesis, false flag claim) or an exceeded tuple
+budget, 2 usage or parse error.  All output is deterministic.
+
+The identities that ``verify`` and ``report`` check are one table,
+``CHECKS``: each selector names the identity of its report, by which a check
+that already ran while the file loaded is found, and its check on the
+algebra and quadratic structure that ``_unwrap`` takes out of a loaded file.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ import functools
 import json
 import os
 import sys
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from . import constructions, faulkner, fileio, spaces
 from .algebra import (BilinearForm, HomAssocNAry, HomLeibnizAlgebra,
@@ -26,61 +31,59 @@ from .faulkner import QuadraticLieAlgebra
 from .fileio import FileFormatError, FlagVerificationError
 from .linalg import rank
 
-SELECTORS = ("nambu", "skew", "multiplicative", "quadratic", "leibniz", "assoc")
-# the identity of each check a file's flags may trigger while it loads
-LOAD_IDENTITIES = {"nambu": "hom_nambu_identity", "skew": "skew_symmetry",
-                   "multiplicative": "multiplicativity", "quadratic": "quadratic"}
+# selector: (the identity of its report, its check on the algebra and the
+# quadratic structure); the checks are looked up when they run, so a
+# replaced check_* binding of this module is the one called
+CHECKS = {
+    "nambu": ("hom_nambu_identity", lambda a, q, t: check_hom_nambu_identity(a, t)),
+    "skew": ("skew_symmetry", lambda a, q, t: check_skew_symmetry(a, t)),
+    "multiplicative": ("multiplicativity", lambda a, q, t: check_multiplicativity(a, t)),
+    "quadratic": ("quadratic", lambda a, q, t: check_quadratic(q, t)),
+    "leibniz": ("hom_leibniz", lambda a, q, t: check_hom_leibniz(a, t)),
+    "assoc": ("total_hom_associativity",
+              lambda a, q, t: check_total_hom_associativity(a, t)),
+}
+SELECTORS = tuple(CHECKS)
+
+
+def _unwrap(obj) -> Tuple[object, Optional[QuadraticStructure]]:
+    """The algebra of a loaded object and its quadratic structure (None when
+    the file carries no form)."""
+    if isinstance(obj, QuadraticLieAlgebra):
+        return obj.algebra, QuadraticStructure(obj.algebra, obj.form)
+    if isinstance(obj, QuadraticStructure):
+        return obj.algebra, obj
+    return obj, None
 
 
 def _applicable(obj, defaults: bool = False) -> List[str]:
     """Selectors valid for this file kind; with defaults=True, only those run
     when none are named (skew/multiplicative only when the file claims them)."""
+    a, quad = _unwrap(obj)
     if isinstance(obj, QuadraticLieAlgebra):
-        return ["nambu", "skew", "quadratic"]
-    if isinstance(obj, (QuadraticStructure, HomNambuAlgebra)):
-        a = obj.algebra if isinstance(obj, QuadraticStructure) else obj
-        sel = ["nambu", "skew", "multiplicative"]
-        if defaults:
-            sel = ["nambu"] + (["skew"] if a.skew else []) \
-                + (["multiplicative"] if a.multiplicative else [])
-        if isinstance(obj, QuadraticStructure):
-            sel.append("quadratic")
-        return sel
-    if isinstance(obj, HomLeibnizAlgebra):
+        sel = ["nambu", "skew"]
+    elif isinstance(a, HomNambuAlgebra):
+        sel = ["nambu"] + [s for s, claimed in (("skew", a.skew),
+                                                ("multiplicative", a.multiplicative))
+                           if claimed or not defaults]
+    elif isinstance(a, HomLeibnizAlgebra):
         return ["leibniz"]
-    if isinstance(obj, HomAssocNAry):
+    elif isinstance(a, HomAssocNAry):
         return ["assoc"]
-    raise FileFormatError(f"cannot verify a {type(obj).__name__}")
+    else:
+        raise FileFormatError(f"cannot verify a {type(obj).__name__}")
+    return sel + (["quadratic"] if quad is not None else [])
 
 
 def _run_check(obj, selector: str, max_tuples: Optional[int],
                loaded: Dict[str, CheckReport]) -> CheckReport:
-    """The selector's report; a check that ran while the file loaded (with
-    ``loaded`` its reports by identity) is reused, not run again."""
-    done = loaded.get(LOAD_IDENTITIES.get(selector))
+    """The report of an applicable selector; a check that ran while the file
+    loaded (with ``loaded`` its reports by identity) is reused, not run again."""
+    identity, check = CHECKS[selector]
+    done = loaded.get(identity)
     if done is not None:
         return done
-    if isinstance(obj, QuadraticLieAlgebra):
-        algebra, quad = obj.algebra, QuadraticStructure(obj.algebra, obj.form)
-    elif isinstance(obj, QuadraticStructure):
-        algebra, quad = obj.algebra, obj
-    else:
-        algebra, quad = obj, None
-    if selector == "nambu":
-        return check_hom_nambu_identity(algebra, max_tuples=max_tuples)
-    if selector == "skew":
-        return check_skew_symmetry(algebra, max_tuples=max_tuples)
-    if selector == "multiplicative":
-        return check_multiplicativity(algebra, max_tuples=max_tuples)
-    if selector == "quadratic":
-        if quad is None:
-            raise FileFormatError("file carries no form; 'quadratic' not applicable")
-        return check_quadratic(quad, max_tuples=max_tuples)
-    if selector == "leibniz":
-        return check_hom_leibniz(algebra, max_tuples=max_tuples)
-    if selector == "assoc":
-        return check_total_hom_associativity(algebra, max_tuples=max_tuples)
-    raise FileFormatError(f"unknown selector {selector!r}")
+    return check(*_unwrap(obj), max_tuples)
 
 
 def _report_ok(r: CheckReport) -> bool:
@@ -220,7 +223,7 @@ def cmd_construct(args) -> int:
         m = fileio.matrix_from_file(args.map, q.algebra.dim)
         out = QuadraticStructure(q.algebra, constructions.pullback_form(q.form, m),
                                  beta=q.beta)
-    elif sub == "faulkner":
+    else:       # faulkner, the last construction argparse admits
         g = objs[0]
         if not isinstance(g, QuadraticLieAlgebra):
             raise UsageError("faulkner input must be a quadratic_lie file")
@@ -232,8 +235,6 @@ def cmd_construct(args) -> int:
                 out = faulkner.omega_twist_leibniz(g, alpha, max_tuples=budget)[0]
         else:
             out = faulkner.faulkner_ternary(g, alpha=alpha, max_tuples=budget)
-    else:
-        raise UsageError(f"unknown construction {sub!r}")
 
     fileio.save(out, args.output, name=os.path.basename(args.output),
                 provenance=provenance)
@@ -243,18 +244,15 @@ def cmd_construct(args) -> int:
 
 def cmd_solve(args) -> int:
     obj = fileio.load(args.file, max_tuples=args.max_tuples)
-    a = _as_nambu(obj.algebra if isinstance(obj, QuadraticLieAlgebra) else obj,
-                  "solve")
+    a = _as_nambu(_unwrap(obj)[0], "solve")
     if args.space == "centroid":
         basis = spaces.compute_centroid(a, args.k)
     elif args.space == "derivations":
         basis = spaces.compute_derivations(a, args.k)
     elif args.space == "center":
         basis = spaces.compute_center(a)
-    elif args.space == "central-derivations":
+    else:       # argparse admits only the four spaces
         basis = spaces.compute_central_derivations(a)
-    else:
-        raise UsageError(f"unknown space {args.space!r}")
     doc = fileio.subspace_to_document(basis)
     if args.format == "json":
         sys.stdout.write(json.dumps(doc, indent=2) + "\n")
@@ -269,19 +267,17 @@ def cmd_report(args) -> int:
     for path in args.files:
         try:
             obj, loaded = fileio.load_checked(path, args.max_tuples)
-            a = obj.algebra if isinstance(obj, (QuadraticStructure, QuadraticLieAlgebra)) \
-                else obj
+            a, quad = _unwrap(obj)
             checks = [_run_check(obj, s, args.max_tuples, loaded)
                       for s in _applicable(obj, defaults=True)]
             ok = all(_report_ok(r) for r in checks)
             if not ok:
                 failures += 1
-            if isinstance(obj, (QuadraticStructure, QuadraticLieAlgebra)):
-                form = obj.form
-                quad = "nondegenerate" if form.nondegenerate else \
-                    f"degenerate (rank {rank(form.gram)})"
+            if quad is None:
+                form = "-"
             else:
-                quad = "-"
+                form = "nondegenerate" if quad.form.nondegenerate else \
+                    f"degenerate (rank {rank(quad.form.gram)})"
             cent = der = "-"
             if isinstance(a, HomNambuAlgebra):
                 cent = spaces.compute_centroid(a, 0).dimension
@@ -292,9 +288,8 @@ def cmd_report(args) -> int:
             kind = fileio.to_document(obj)["kind"]
             arity = 2 if isinstance(a, HomLeibnizAlgebra) else a.arity
             rows.append((path, kind, str(a.dim), str(arity),
-                         "pass" if ok else "FAIL", str(cent), str(der), quad))
-        except (FileFormatError, FlagVerificationError, ValueError,
-                TupleBudgetExceeded) as e:
+                         "pass" if ok else "FAIL", str(cent), str(der), form))
+        except (ValueError, TupleBudgetExceeded) as e:
             failures += 1
             rows.append((path, "error", "-", "-", str(e), "-", "-", "-"))
     header = ("file", "kind", "dim", "arity", "checks", "centroid", "derivations",
@@ -386,30 +381,18 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         # looked up at call time, so a replaced cmd_* function is the one run
         return globals()[f"cmd_{args.command}"](args)
-    except UsageError as e:
+    except (UsageError, FileFormatError, FileNotFoundError) as e:
         sys.stderr.write(f"error: {e}\n")
         return 2
-    except FileFormatError as e:
-        sys.stderr.write(f"error: {e}\n")
-        return 2
-    except FileNotFoundError as e:
-        sys.stderr.write(f"error: {e}\n")
-        return 2
-    except FlagVerificationError as e:
-        sys.stderr.write(f"verification failure: {e}\n")
+    except (FlagVerificationError, ConstructionError) as e:
+        what = "verification" if isinstance(e, FlagVerificationError) else "construction"
+        sys.stderr.write(f"{what} failure: {e}\n")
         if e.report is not None:
             sys.stderr.write(json.dumps(e.report.to_json(), indent=2) + "\n")
         return 1
-    except ConstructionError as e:
-        sys.stderr.write(f"construction failure: {e}\n")
-        if e.report is not None:
-            sys.stderr.write(json.dumps(e.report.to_json(), indent=2) + "\n")
-        return 1
-    except TupleBudgetExceeded as e:
-        sys.stderr.write(f"tuple budget exceeded: {e}\n")
-        return 1
-    except ValueError as e:
-        sys.stderr.write(f"error: {e}\n")
+    except (TupleBudgetExceeded, ValueError) as e:
+        what = "tuple budget exceeded" if isinstance(e, TupleBudgetExceeded) else "error"
+        sys.stderr.write(f"{what}: {e}\n")
         return 1
 
 

@@ -60,6 +60,17 @@ def _verified_flags(a: HomNambuAlgebra, expect_skew: Optional[bool] = None,
     return out
 
 
+def _require_twisting(a: HomNambuAlgebra, form: BilinearForm, m: Matrix, name: str,
+                      max_tuples: Optional[int]) -> None:
+    """The hypotheses on a map ``name`` that twists a quadratic algebra: an
+    involution, symmetric with respect to the form, and an automorphism."""
+    if m @ m != Matrix.identity(a.dim):
+        raise ConstructionError(f"{name} is not an involution")
+    if m.T @ form.gram != form.gram @ m:
+        raise ConstructionError(f"{name} is not symmetric with respect to the form")
+    _require(check_morphism(a, a, m, max_tuples), f"{name} is not an automorphism")
+
+
 def twist_by_morphism(a: HomNambuAlgebra, rho: Matrix, verify: bool = True,
                       max_tuples: Optional[int] = None) -> HomNambuAlgebra:
     """Compose an untwisted bracket with one of its endomorphisms; the
@@ -261,11 +272,7 @@ def tstar_extension(a: HomNambuAlgebra, form: BilinearForm,
                      "T*-extension form")
         return TStarResult(QuadraticStructure(ext, big_form))
 
-    if omega @ omega != ident:
-        raise ConstructionError("omega is not an involution")
-    if omega.T @ form.gram != form.gram @ omega:
-        raise ConstructionError("omega is not symmetric with respect to the form")
-    _require(check_morphism(a, a, omega, max_tuples), "omega is not an automorphism")
+    _require_twisting(a, form, omega, "omega", max_tuples)
     big_omega = _blocks((omega, zero), (zero, omega.T))
 
     tw_bracket = bracket.transform([None] * n, out_map=big_omega)

@@ -17,10 +17,9 @@ from typing import Dict, List, Optional, Tuple
 from .algebra import (BilinearForm, BracketTensor, HomLeibnizAlgebra,
                       HomNambuAlgebra, QuadraticStructure)
 from .checks import (CheckReport, _compare, check_hom_leibniz,
-                     check_hom_nambu_identity, check_morphism,
-                     check_multiplicativity, check_quadratic,
-                     check_skew_symmetry)
-from .constructions import ConstructionError, _require, _verified_flags
+                     check_hom_nambu_identity, check_multiplicativity,
+                     check_quadratic, check_skew_symmetry)
+from .constructions import ConstructionError, _require, _require_twisting, _verified_flags
 from .linalg import Matrix, Vector, kron, solve_matrix
 
 
@@ -114,13 +113,7 @@ def omega_twist_leibniz(g: QuadraticLieAlgebra, alpha: Matrix,
     involutive, form-symmetric automorphism alpha. Returns the twisted
     Hom-Leibniz algebra together with the twisted pairing form."""
     d = g.dim
-    ident = Matrix.identity(d)
-    if alpha @ alpha != ident:
-        raise ConstructionError("alpha is not an involution")
-    if alpha.T @ g.form.gram != g.form.gram @ alpha:
-        raise ConstructionError("alpha is not symmetric with respect to the form")
-    _require(check_morphism(g.algebra, g.algebra, alpha, max_tuples),
-             "alpha is not an automorphism")
+    _require_twisting(g.algebra, g.form, alpha, "alpha", max_tuples)
     base = tensor_leibniz(g, verify=verify, max_tuples=max_tuples)
     omega = kron(alpha, alpha.T)
     bracket = base.bracket.transform([None, None], out_map=omega)
@@ -160,13 +153,7 @@ def faulkner_ternary(g: QuadraticLieAlgebra, alpha: Optional[Matrix] = None,
             _require(check_quadratic(struct, max_tuples), "ternary quadratic structure")
         return struct
 
-    ident = Matrix.identity(d)
-    if alpha @ alpha != ident:
-        raise ConstructionError("alpha is not an involution")
-    if alpha.T @ gram != gram @ alpha:
-        raise ConstructionError("alpha is not symmetric with respect to the form")
-    _require(check_morphism(g.algebra, g.algebra, alpha, max_tuples),
-             "alpha is not an automorphism")
+    _require_twisting(g.algebra, g.form, alpha, "alpha", max_tuples)
     tw_bracket = bracket.transform([None] * 3, out_map=alpha)
     tern = HomNambuAlgebra(d, 3, tw_bracket, (alpha, alpha))
     tern = _verified_flags(tern, max_tuples=max_tuples)

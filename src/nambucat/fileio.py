@@ -318,9 +318,8 @@ def representation_from_document(doc: dict) -> Representation:
 
 
 def matrix_from_file(path, dim: Optional[int] = None) -> Matrix:
-    """Read a bare matrix file: {"matrix": [[...]]} or a plain list of rows."""
-    doc = load_document(path)
-    data = doc.get("matrix", doc) if isinstance(doc, dict) else doc
+    """Read a bare matrix file, {"matrix": [[...]]}."""
+    data = load_document(path).get("matrix")
     if not isinstance(data, list) or not data:
         raise FileFormatError("expected a nonempty list of matrix rows")
     rows = len(data)

@@ -9,7 +9,8 @@ reduces the rows without any ``Fraction`` work.  For a bracket in skew
 storage the equations alternate in the bracket's slots (the centroid's in
 all but the first), so one equation per orbit is assembled, read off the
 stored keys without expanding them; the twist power alpha^k in the other
-slots enters through minors of alpha^k, at any k.
+slots enters through minors of alpha^k, at any k.  The assembly sees which
+slots alternate from the storage of the bracket and the slots it fills.
 """
 
 from __future__ import annotations
@@ -54,8 +55,8 @@ def _twist_power(a, k: int) -> Matrix:
 
 
 def _assemble(d: int, width: int, lhs: Optional[BracketTensor],
-              patterns: Sequence[Tuple[int, BracketTensor, Optional[Matrix]]],
-              free: Optional[int] = None) -> List[Dict[int, int]]:
+              patterns: Sequence[Tuple[int, BracketTensor, Optional[Matrix]]]
+              ) -> List[Dict[int, int]]:
     """Linear equations on an unknown d-by-width matrix X, from nonzero entries only.
 
     For each basis tuple t and output coordinate r the equation reads
@@ -68,13 +69,18 @@ def _assemble(d: int, width: int, lhs: Optional[BracketTensor],
     leaves the nullspace as it is.  Rows that vanish and repeats of an
     earlier row are dropped.
 
-    With ``free`` = f the equations alternate in the slots from f on (the
-    bracket has skew storage), so only t with t[f:] strictly increasing is
-    assembled, one equation per orbit: the others repeat or negate it, or
-    vanish.  The entries are read through ``free_slot_items``, which applies
-    M by minors without expanding the storage; f = 1 takes the lhs and
-    patterns on slot 0 only.
+    When the patterns have skew storage the equations alternate in the
+    slots from f on, with f = 1 when every pattern sits in slot 0 (the
+    centroid and the center) and f = 0 otherwise, so only t with t[f:]
+    strictly increasing is assembled, one equation per orbit: the others
+    repeat or negate it, or vanish.  The entries are then read through
+    ``free_slot_items``, which applies M by minors without expanding the
+    storage.
     """
+    free = None
+    if all(pattern.skew_storage for _, pattern, _ in patterns):
+        free = 1 if all(i == 0 for i, _, _ in patterns) else 0
+
     def entries(tensor, i, m):
         """(key, value, the values slot i of an assembled t may take)."""
         if free is None:
@@ -133,8 +139,7 @@ def compute_centroid(a: HomNambuAlgebra, k: int) -> SubspaceBasis:
     alpha^k x_n], as a canonical matrix basis."""
     d, n = a.dim, a.arity
     pw = _twist_power(a, k)
-    free = 1 if a.bracket.skew_storage else None
-    return _matrix_nullspace_basis(_assemble(d, d, a.bracket, [(0, a.bracket, pw)], free), d)
+    return _matrix_nullspace_basis(_assemble(d, d, a.bracket, [(0, a.bracket, pw)]), d)
 
 
 def _centroid_report(identity: str, bracket: BracketTensor, f: Matrix,
@@ -158,7 +163,7 @@ def compute_derivations(a: HomNambuAlgebra, k: int) -> SubspaceBasis:
     alpha = a.twist
     pw = _twist_power(a, k)
     patterns = [(i, a.bracket, pw) for i in range(n)]
-    rows = _assemble(d, d, a.bracket, patterns, 0 if a.bracket.skew_storage else None)
+    rows = _assemble(d, d, a.bracket, patterns)
     # D alpha = alpha D: the same equations for the unary "bracket" alpha
     unary = BracketTensor(d, 1, {(v,): alpha.col(v) for v in range(d)})
     rows += _assemble(d, d, unary, [(0, unary, None)])
@@ -199,8 +204,7 @@ def inner_derivation(a: HomNambuAlgebra, x: Sequence[Vector], k: int) -> Matrix:
 
 def compute_center(a: HomNambuAlgebra) -> SubspaceBasis:
     """Vectors z with [z, x_2, ..., x_n] = 0 for all basis choices."""
-    rows = _assemble(a.dim, 1, None, [(0, a.bracket, None)],
-                     1 if a.bracket.skew_storage else None)
+    rows = _assemble(a.dim, 1, None, [(0, a.bracket, None)])
     return SubspaceBasis("vector", a.dim, tuple(nullspace(SparseMatrix(a.dim, rows))))
 
 

@@ -7,21 +7,38 @@ assembly as it was before it became integer-native: ``Fraction`` rows from
 patterns already mapped, walking every expanded entry or, on skew storage,
 one equation per orbit; the ``fraction_*`` solvers build their patterns
 with the library's ``transform``, which expands skew storage when the
-slots carry different maps.  Tests compare the library against them.
+slots carry different maps.  ``row_minors`` computes each minor of a map
+as its own Bareiss determinant, as ``algebra._row_minors`` did before it
+built them as an exterior product.  Tests compare the library against them.
 """
 
+import itertools
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from nambucat.algebra import BracketTensor, add_scaled, is_increasing
 from nambucat.checks import (CheckReport, Counterexample, _budget, _comb_rank,
                              _tuple_count, _twist_slots)
-from nambucat.linalg import Matrix, SparseMatrix, Vector, nullspace, rref
+from nambucat.linalg import Matrix, SparseMatrix, Vector, det, nullspace, rref
 from nambucat.spaces import SubspaceBasis, _twist_power
 
 
 def _is_identity(m: Matrix, n: int) -> bool:
     return m.rows == m.cols == n and m == Matrix.identity(n)
+
+
+def row_minors(m: Matrix, rows: Tuple[int, ...]) -> Dict[Tuple[int, ...], Fraction]:
+    """The nonzero minors det(m[rows, J]), keyed by the increasing column
+    tuples J within the columns where those rows have entries."""
+    q = len(rows)
+    sub = [m.entries[i * m.cols:(i + 1) * m.cols] for i in rows]
+    support = sorted({j for row in sub for j, x in enumerate(row) if x})
+    out = {}
+    for cols in itertools.combinations(support, q):
+        c = det(Matrix(q, q, [row[j] for row in sub for j in cols]))
+        if c:
+            out[cols] = c
+    return out
 
 
 def transform(tensor: BracketTensor, slot_maps: Sequence[Optional[Matrix]],

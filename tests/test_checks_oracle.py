@@ -21,7 +21,7 @@ from nambucat import (BilinearForm, BracketTensor, HomAssocNAry,
                       HomLeibnizAlgebra, HomNambuAlgebra, Matrix,
                       QuadraticStructure, TupleBudgetExceeded, Vector, corpus)
 from nambucat import fileio
-from nambucat.algebra import all_tuples, is_increasing
+from nambucat.algebra import _row_minors, all_tuples, is_increasing
 from nambucat.checks import (_compare, check_hom_leibniz, check_hom_nambu_identity,
                              check_morphism, check_multiplicativity,
                              check_quadratic, check_skew_symmetry,
@@ -518,6 +518,53 @@ def test_mapped_free_slot_items_match_transform(case, data):
     assert len(dict(got)) == len(got)
     assert dict(got) == want
     assert dict(got) == dict(C.transform(maps).free_slot_items(slot))
+
+
+# entries with denominators 2, 3 and 6
+fractional = st.sampled_from([F(0), F(0), F(1), F(-1), F(2), F(1, 2), F(-1, 3), F(5, 6)])
+
+
+@st.composite
+def minor_maps(draw):
+    """A square or rectangular map: random entries (often singular), rank
+    one, or a diagonal or signed permutation padded with zero rows or
+    columns."""
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    kind = draw(st.sampled_from(("random", "rank one", "diagonal", "signed permutation")))
+    if kind == "random":
+        return Matrix(rows, cols, draw(st.lists(fractional, min_size=rows * cols,
+                                                max_size=rows * cols)))
+    if kind == "rank one":
+        u = draw(st.lists(fractional, min_size=rows, max_size=rows))
+        v = draw(st.lists(fractional, min_size=cols, max_size=cols))
+        return Matrix(rows, cols, [x * y for x in u for y in v])
+    k = min(rows, cols)
+    perm = list(range(k)) if kind == "diagonal" else draw(st.permutations(range(k)))
+    vals = draw(st.lists(fractional if kind == "diagonal" else st.sampled_from((F(1), F(-1))),
+                         min_size=k, max_size=k))
+    return Matrix(rows, cols, [vals[i] if i < k and j == perm[i] else 0
+                               for i in range(rows) for j in range(cols)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(minor_maps(), st.data())
+def test_row_minors_match_bareiss_oracle(m, data):
+    """The minors built as an exterior product row by row equal one Bareiss
+    determinant per minor, for distinct rows in any order."""
+    rows = tuple(data.draw(st.lists(st.integers(0, m.rows - 1), unique=True,
+                                    max_size=m.rows)))
+    assert _row_minors(m, rows) == oracle_skew.row_minors(m, rows)
+
+
+def test_row_minors_of_small_maps():
+    """The reversal of three columns needs the sign of each moved column, and
+    a 2 x 3 map whose rows share their columns has only the minors of
+    distinct columns."""
+    reversal = Matrix(3, 3, [0, 0, 1, 0, 1, 0, 1, 0, 0])
+    assert _row_minors(reversal, (0, 1, 2)) == {(0, 1, 2): -1}
+    m = Matrix(2, 3, [1, 2, 0, 3, 4, 5])
+    assert _row_minors(m, (0, 1)) == {(0, 1): -2, (0, 2): 5, (1, 2): 10}
+    assert _row_minors(None, (1, 3)) == {(1, 3): 1}
 
 
 def test_mapped_free_slot_items_reject_a_rectangular_map():

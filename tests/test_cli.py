@@ -302,6 +302,21 @@ def test_construct_twist_bad_morphism(capsys, tmp_path):
     assert not out.exists()
 
 
+def test_construct_rejects_a_matrix_file_without_its_field(capsys, tmp_path):
+    """A matrix file is an object with a "matrix" field; a plain list of rows
+    and an object without the field both fail closed."""
+    rows = [["1", "0", "0", "0"], ["0", "1", "0", "0"],
+            ["0", "0", "-1", "0"], ["0", "0", "0", "-1"]]
+    out = tmp_path / "twisted.json"
+    for doc, why in ((rows, "top level must be a JSON object"),
+                     ({"rows": rows}, "expected a nonempty list of matrix rows")):
+        rho = tmp_path / "rho.json"
+        rho.write_text(json.dumps(doc))
+        assert run(capsys, "construct", "twist", cp("simple3lie4"),
+                   "--rho", str(rho), "-o", str(out)) == (2, "", f"error: {why}\n")
+        assert not out.exists()
+
+
 def test_construct_tstar(capsys, tmp_path):
     out = tmp_path / "tstar.json"
     code, _, _ = run(capsys, "construct", "tstar", cp("simple3lie4"),

@@ -185,11 +185,9 @@ def _integer_systems(a, k):
     derivations without the rows of D alpha = alpha D."""
     d, n = a.dim, a.arity
     pw = _twist_power(a, k)
-    skew = a.bracket.skew_storage
-    return {"centroid": _assemble(d, d, a.bracket, [(0, a.bracket, pw)], 1 if skew else None),
-            "derivations": _assemble(d, d, a.bracket, [(i, a.bracket, pw) for i in range(n)],
-                                     0 if skew else None),
-            "center": _assemble(d, 1, None, [(0, a.bracket, None)], 1 if skew else None)}
+    return {"centroid": _assemble(d, d, a.bracket, [(0, a.bracket, pw)]),
+            "derivations": _assemble(d, d, a.bracket, [(i, a.bracket, pw) for i in range(n)]),
+            "center": _assemble(d, 1, None, [(0, a.bracket, None)])}
 
 
 def _fraction_systems(a, k):
