@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -403,15 +403,16 @@ def _common_twist(twists: Tuple[Matrix, ...]) -> Matrix:
 class HomNambuAlgebra:
     """An n-ary bracket with a family of n-1 twist maps.
 
-    The ``skew`` and ``multiplicative`` flags are claims: constructors never
-    set them silently, verification routines confirm them.
+    The bracket's storage is the one record of alternation: ``skew`` reads
+    it, and only a bracket declared or verified alternating is put in skew
+    storage.  The ``multiplicative`` flag is a claim: constructors never set
+    it silently, verification routines confirm it.
     """
 
     dim: int
     arity: int
     bracket: BracketTensor
     twists: Tuple[Matrix, ...]
-    skew: bool = False
     multiplicative: bool = False
 
     def __post_init__(self):
@@ -425,16 +426,14 @@ class HomNambuAlgebra:
                 raise ValueError("twist map has wrong shape")
 
     @property
+    def skew(self) -> bool:
+        """The bracket is alternating: it has skew storage."""
+        return self.bracket.skew_storage
+
+    @property
     def twist(self) -> Matrix:
         """The common twist of a multiplicative algebra (twists must agree)."""
         return _common_twist(self.twists)
-
-    def with_flags(self, skew: Optional[bool] = None,
-                   multiplicative: Optional[bool] = None) -> "HomNambuAlgebra":
-        return replace(self,
-                       skew=self.skew if skew is None else skew,
-                       multiplicative=self.multiplicative if multiplicative is None
-                       else multiplicative)
 
 
 @dataclass(frozen=True)

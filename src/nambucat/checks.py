@@ -10,23 +10,22 @@ entries only; ``tuples_checked`` still counts tuples in lexicographic order.
 The association orders of a totally Hom-associative product are built the
 same way, by substituting the product into each slot of its twisted copy.
 
-For verified skew brackets the fundamental-identity check decides only the
-strictly increasing tuples: both sides of the identity are alternating
-multilinear in the x-block and the y-block, so increasing tuples span all
-cases and the cost drops combinatorially.  It builds both sides from nonzero
-entries only, reading the bracket and its twisted copies through
-``free_slot_items``, so skew storage is never expanded when all twists are
-one map; so does the representation identity, whose sides are an operator
-product of two tensors and a sum of substitutions with their slots
-reordered by ``permute``.  Invariance of a form is the residual
-W(x, i)_j + W(x, j)_i of one tensor W, which must vanish; on skew storage
-it is read off the stored keys for increasing x.  On skew storage the
-skew-symmetry check passes without expanding the tensor, since that storage
-is alternating by construction, and two skew-storage tensors are compared
-on their stored keys.
+For skew storage under one twist the fundamental-identity check decides
+only the strictly increasing tuples: both sides are then alternating in the
+x-block and the y-block, so those tuples span all cases.  Under distinct
+twists [a_1 x_1, a_2 x_2, [y]] does not alternate in x, and the loop over
+all tuples runs.  The shortcut builds both sides from nonzero entries, read
+off the stored keys by ``free_slot_items``; so does the representation
+identity, whose sides are an operator product of two tensors and a sum of
+substitutions with their slots reordered by ``permute``.  Invariance of a
+form is the residual W(x, i)_j + W(x, j)_i of one tensor W, which must
+vanish; on skew storage it is read off the stored keys for increasing x.
+On skew storage the skew-symmetry check passes without expanding the
+tensor, since that storage is alternating by construction, and two
+skew-storage tensors are compared on their stored keys.
 
-One loop over all tuples is left: the fundamental identity without a skew
-claim.  The same construction would make it about three times faster, but
+One loop over all tuples is left: the fundamental identity outside that
+shortcut.  The same construction would make it about three times faster, but
 the benchmark's memory reading grows with the passes a run fits in, so it
 waits until that reading no longer counts speed as a memory regression.
 """
@@ -40,7 +39,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import (BracketTensor, HomAssocNAry, HomLeibnizAlgebra,
                       HomNambuAlgebra, QuadraticStructure, add_scaled, all_tuples,
-                      is_increasing, tuple_position)
+                      tuple_position)
 from .linalg import Matrix, Vector, frac_str, kron, rank
 
 
@@ -175,7 +174,7 @@ def check_hom_nambu_identity(a: HomNambuAlgebra,
     of the bracket, checked on all (2n-1)-tuples of basis vectors."""
     n, d = a.arity, a.dim
     C = a.bracket
-    skew = a.skew
+    skew = a.skew and all(t == a.twists[0] for t in a.twists[1:])
     count = _tuple_count(d, n - 1, skew) * _tuple_count(d, n, skew)
     _budget(count, max_tuples)
     if skew:
@@ -214,34 +213,29 @@ def _comb_rank(t: Tuple[int, ...], d: int) -> int:
 
 
 def _skew_identity(a: HomNambuAlgebra, count: int) -> CheckReport:
-    """The fundamental identity on increasing x and y, from nonzero entries only.
+    """The fundamental identity on increasing x and y, from nonzero entries
+    only, for skew storage with all twists one map a.
 
     For each increasing x with a nonzero [x, .] or twisted [a(x), .], both
     sides are accumulated as rows keyed by increasing y: the left side from
     the stored values [y], the right side from the entries of each twisted
     copy of the bracket with slot i free, grouped by their slot-i index,
-    times the coordinates of [x, y_i].  Every tensor is read through
-    ``free_slot_items``, which on skew storage yields the needed entries from
-    the stored keys (by minors of the twist when all twists are one map) and
-    on dense storage keeps the keys that increase, so a skew claim on dense
-    storage gets the same verdict as the loop over increasing tuples.  The
-    first differing (x, y) is reported with its position in that loop."""
+    times the coordinates of [x, y_i].  Every copy is read off the stored
+    keys by ``free_slot_items``, through minors of the twist.  The first
+    differing (x, y) is reported with its position in the loop over
+    increasing tuples."""
     C = a.bracket
     d, n = C.dim, C.arity
-    # copy i: slot i free, slots j < i carry a_j, slots j > i carry a_{j-1};
-    # copy n-1 is the left side's [a1(x1), ..., a_{n-1}(x_{n-1}), w]
-    if all(t == a.twists[0] for t in a.twists[1:]):
-        copies = [C.free_slot_items(i, a.twists[0]) for i in range(n)]
-    else:
-        copies = [C.transform(_twist_slots(a.twists, n, i)).free_slot_items(i)
-                  for i in range(n)]
+    # copy i: slot i free and a in every other slot; copy n-1 is the left
+    # side's [a(x_1), ..., a(x_{n-1}), w]
+    copies = [C.free_slot_items(i, a.twists[0]) for i in range(n)]
     brackets: Dict[Tuple[int, ...], list] = {}       # x -> [(k, [x, e_k])]
     for t, v in C.free_slot_items(n - 1):
         brackets.setdefault(t[:-1], []).append((t[-1], v.entries))
     twisted: Dict[Tuple[int, ...], dict] = {}        # x -> {j: [a(x), e_j]}
     for t, v in copies[n - 1]:
         twisted.setdefault(t[:-1], {})[t[-1]] = v.entries
-    values = [(y, v.entries) for y, v in C.coeffs.items() if is_increasing(y)]
+    values = [(y, v.entries) for y, v in C.coeffs.items()]
     # entries of copy i whose other slots increase, grouped by their slot-i
     # index; slot i takes k with lo < k < hi
     groups: Dict[int, list] = {}

@@ -10,7 +10,7 @@ check a transform runs honours its ``max_tuples`` budget.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import prod
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -45,19 +45,22 @@ def _require(report: CheckReport, what: str) -> CheckReport:
     return report
 
 
-def _verified_flags(a: HomNambuAlgebra, expect_skew: Optional[bool] = None,
-                    max_tuples: Optional[int] = None) -> HomNambuAlgebra:
-    """Set skew/multiplicative flags from actual verification runs."""
+def _alternating(a: HomNambuAlgebra, expect_skew: Optional[bool] = None,
+                 max_tuples: Optional[int] = None) -> HomNambuAlgebra:
+    """The algebra, its bracket in skew storage if it passes the skew check."""
     skew = check_skew_symmetry(a, max_tuples).passed
     if expect_skew is not None and skew != expect_skew:
         raise ConstructionError(f"expected skew={expect_skew}, verification says {skew}")
+    return replace(a, bracket=a.bracket.skew_canonical()) if skew else a
+
+
+def _verified_flags(a: HomNambuAlgebra, expect_skew: Optional[bool] = None,
+                    max_tuples: Optional[int] = None) -> HomNambuAlgebra:
+    """``_alternating``, and the multiplicative flag from a verification run."""
+    a = _alternating(a, expect_skew, max_tuples)
     mult = (all(t == a.twists[0] for t in a.twists)
             and check_multiplicativity(a, max_tuples).passed)
-    out = a.with_flags(skew=skew, multiplicative=mult)
-    if skew and not out.bracket.skew_storage:
-        out = HomNambuAlgebra(out.dim, out.arity, out.bracket.skew_canonical(),
-                              out.twists, skew=True, multiplicative=mult)
-    return out
+    return replace(a, multiplicative=mult)
 
 
 def _require_twisting(a: HomNambuAlgebra, form: BilinearForm, m: Matrix, name: str,
@@ -262,10 +265,9 @@ def tstar_extension(a: HomNambuAlgebra, form: BilinearForm,
     zero = Matrix.zero(d, d)
     big_form = BilinearForm(2 * d, _blocks((form.gram, ident), (ident, zero)))
 
-    big_ident = Matrix.identity(2 * d)
-    ext = HomNambuAlgebra(2 * d, n, bracket, (big_ident,) * (n - 1))
-    ext = _verified_flags(ext, max_tuples=max_tuples)
     if omega is None:
+        ext = HomNambuAlgebra(2 * d, n, bracket, (Matrix.identity(2 * d),) * (n - 1))
+        ext = _verified_flags(ext, max_tuples=max_tuples)
         if verify:
             _require(check_hom_nambu_identity(ext, max_tuples), "T*-extension")
             _require(check_quadratic(QuadraticStructure(ext, big_form), max_tuples),
@@ -275,15 +277,16 @@ def tstar_extension(a: HomNambuAlgebra, form: BilinearForm,
     _require_twisting(a, form, omega, "omega", max_tuples)
     big_omega = _blocks((omega, zero), (zero, omega.T))
 
+    # an output map keeps skew storage, so only multiplicativity is checked
     tw_bracket = bracket.transform([None] * n, out_map=big_omega)
     twisted = HomNambuAlgebra(2 * d, n, tw_bracket, (big_omega,) * (n - 1))
-    twisted = _verified_flags(twisted, max_tuples=max_tuples)
+    mult = check_multiplicativity(twisted, max_tuples)
+    twisted = replace(twisted, multiplicative=mult.passed)
     struct = QuadraticStructure(twisted, big_form, beta=big_omega)
     omega_form = BilinearForm(2 * d, big_omega.T @ big_form.gram)
     if verify:
         _require(check_hom_nambu_identity(twisted, max_tuples), "twisted T*-extension")
-        _require(check_multiplicativity(twisted, max_tuples),
-                 "twisted T*-extension multiplicativity")
+        _require(mult, "twisted T*-extension multiplicativity")
         _require(check_quadratic(struct, max_tuples),
                  "twisted T*-extension Hom-quadratic form")
         _require(check_quadratic(QuadraticStructure(twisted, omega_form), max_tuples),

@@ -10,7 +10,7 @@ equivariance are then substitutions of phi into C and D.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
@@ -19,7 +19,8 @@ from .algebra import (BilinearForm, BracketTensor, HomLeibnizAlgebra,
 from .checks import (CheckReport, _compare, check_hom_leibniz,
                      check_hom_nambu_identity, check_multiplicativity,
                      check_quadratic, check_skew_symmetry)
-from .constructions import ConstructionError, _require, _require_twisting, _verified_flags
+from .constructions import (ConstructionError, _alternating, _require, _require_twisting,
+                            _verified_flags)
 from .linalg import Matrix, Vector, kron, solve_matrix
 
 
@@ -155,12 +156,14 @@ def faulkner_ternary(g: QuadraticLieAlgebra, alpha: Optional[Matrix] = None,
 
     _require_twisting(g.algebra, g.form, alpha, "alpha", max_tuples)
     tw_bracket = bracket.transform([None] * 3, out_map=alpha)
-    tern = HomNambuAlgebra(d, 3, tw_bracket, (alpha, alpha))
-    tern = _verified_flags(tern, max_tuples=max_tuples)
+    tern = _alternating(HomNambuAlgebra(d, 3, tw_bracket, (alpha, alpha)),
+                        max_tuples=max_tuples)
+    mult = check_multiplicativity(tern, max_tuples)
+    tern = replace(tern, multiplicative=mult.passed)
     form = BilinearForm(d, alpha.T @ gram)
     struct = QuadraticStructure(tern, form)
     if verify:
         _require(check_hom_nambu_identity(tern, max_tuples), "twisted ternary algebra")
-        _require(check_multiplicativity(tern, max_tuples), "twisted ternary multiplicativity")
+        _require(mult, "twisted ternary multiplicativity")
         _require(check_quadratic(struct, max_tuples), "twisted ternary quadratic structure")
     return struct

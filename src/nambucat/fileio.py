@@ -216,8 +216,7 @@ def _decode(doc: dict, verify: bool, max_tuples: Optional[int],
             raise FlagVerificationError(f"claimed skew flag is inconsistent: {e}")
     else:
         tensor = BracketTensor(dim, arity, items)
-    a = HomNambuAlgebra(dim, arity, tensor, twists,
-                        skew=claim_skew, multiplicative=claim_mult)
+    a = HomNambuAlgebra(dim, arity, tensor, twists, multiplicative=claim_mult)
     if verify and claim_mult:
         r = reports["multiplicativity"] = check_multiplicativity(a, max_tuples)
         if not r.passed:

@@ -48,9 +48,8 @@ def zero3():
 
 
 def zero_algebra(d, n):
-    return HomNambuAlgebra(d, n, BracketTensor.zero(d, n),
-                           (Matrix.identity(d),) * (n - 1),
-                           skew=True, multiplicative=True)
+    return HomNambuAlgebra(d, n, BracketTensor(d, n, {}, skew_storage=True),
+                           (Matrix.identity(d),) * (n - 1), multiplicative=True)
 
 
 def filippov(d):
@@ -62,8 +61,7 @@ def filippov(d):
         out[omit] = F((-1) ** (d + omit + 1))
         items[tuple(i for i in range(d) if i != omit)] = Vector(out)
     return HomNambuAlgebra(d, d - 1, BracketTensor(d, d - 1, items, skew_storage=True),
-                           (Matrix.identity(d),) * (d - 2),
-                           skew=True, multiplicative=True)
+                           (Matrix.identity(d),) * (d - 2), multiplicative=True)
 
 
 @pytest.fixture(scope="session")
@@ -73,9 +71,8 @@ def sum5(s4):
     for t, v in s4.algebra.bracket.dense_items():
         if not v.is_zero():
             items[t] = Vector(list(v.entries) + [F(0)])
-    return HomNambuAlgebra(5, 3, BracketTensor(5, 3, items),
-                           (Matrix.identity(5),) * 2,
-                           skew=True, multiplicative=True)
+    return HomNambuAlgebra(5, 3, BracketTensor(5, 3, items).skew_canonical(),
+                           (Matrix.identity(5),) * 2, multiplicative=True)
 
 
 # random skew-storage tensors and slot maps for the differential tests

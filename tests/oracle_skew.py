@@ -167,8 +167,9 @@ def central_derivations(a, center_of=center) -> SubspaceBasis:
 
 
 def hom_nambu_identity(a, max_tuples=None) -> CheckReport:
-    """The fundamental identity under a skew claim, on increasing x and y,
-    with ``top`` and ``side`` built densely and read through ``.coeffs``."""
+    """The fundamental identity on skew storage under one twist, on
+    increasing x and y, with ``top`` and ``side`` built densely and read
+    through ``.coeffs``."""
     n, d = a.arity, a.dim
     C = a.bracket
     count = _tuple_count(d, n - 1, True) * _tuple_count(d, n, True)

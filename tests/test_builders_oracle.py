@@ -164,7 +164,7 @@ def perturbed(draw):
     d, n = a.dim, a.arity
     t = tuple(draw(st.lists(st.integers(0, d - 1), min_size=n, max_size=n)))
     delta = Vector(draw(st.lists(small, min_size=d, max_size=d).filter(any)))
-    b = replace(a, bracket=_plus(a.bracket, t, delta), skew=False)
+    b = replace(a, bracket=_plus(a.bracket, t, delta))
     return a, b, replace(q, algebra=b)
 
 
@@ -200,7 +200,7 @@ def perturbed_skew(draw):
     coeffs = dict(a.bracket.skew_canonical().coeffs)
     coeffs[t] = coeffs.get(t, Vector.zero(d)) + delta
     return HomNambuAlgebra(d, n, BracketTensor(d, n, coeffs, skew_storage=True),
-                           (Matrix.identity(d),) * (n - 1), skew=True, multiplicative=True)
+                           (Matrix.identity(d),) * (n - 1), multiplicative=True)
 
 
 @settings(max_examples=40, deadline=None)

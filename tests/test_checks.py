@@ -105,7 +105,7 @@ def test_quadratic_twist_symmetry_violation(s4):
                               [F(0), F(1), F(0), F(0)],
                               [F(0), F(0), F(1), F(0)],
                               [F(0), F(0), F(0), F(1)]])
-    skewed = HomNambuAlgebra(4, 3, s4.algebra.bracket, (shear,) * 2, skew=True)
+    skewed = HomNambuAlgebra(4, 3, s4.algebra.bracket, (shear,) * 2)
     q = QuadraticStructure(skewed, s4.form)
     assert not check_quadratic(q).passed
 

@@ -175,6 +175,56 @@ def test_false_claim_runs_its_check_once(capsys, monkeypatch, tmp_path):
     assert calls == {"check_multiplicativity": 2}
 
 
+def _repro_documents(tmp_path):
+    """A ternary skew bracket [e1, e2, e3] = e3 under two distinct twists,
+    once with a skew claim and its one stored entry, once as its dense twin
+    with all six signed entries and no claim."""
+    twists = [[["0", "1", "1"], ["1", "1", "0"], ["0", "1", "0"]],
+              [["1", "1", "-1"], ["0", "1", "0"], ["0", "-1", "0"]]]
+    base = {"schema_version": 1, "kind": "hom_nambu", "dim": 3, "arity": 3,
+            "twists": twists}
+    skew = dict(base, bracket=[{"inputs": [1, 2, 3], "output": ["0", "0", "1"]}],
+                flags={"skew": True})
+    dense = dict(base, bracket=[
+        {"inputs": list(p), "output": ["0", "0", s]}
+        for p, s in (((1, 2, 3), "1"), ((1, 3, 2), "-1"), ((2, 1, 3), "-1"),
+                     ((2, 3, 1), "1"), ((3, 1, 2), "1"), ((3, 2, 1), "-1"))])
+    paths = []
+    for name, doc in (("skew", skew), ("dense", dense)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        paths.append(str(path))
+    return paths
+
+
+def test_skew_claim_under_distinct_twists_gets_the_dense_verdict(capsys, tmp_path):
+    """Under distinct twists the identity does not alternate, so a skew
+    claim does not cut it down to increasing tuples: the skew file fails at
+    the dense twin's counterexample, after the same count."""
+    skew, dense = _repro_documents(tmp_path)
+    code, out, _ = run(capsys, "verify", skew)
+    reports = json.loads(out)["reports"]
+    assert code == 1 and [r["identity"] for r in reports] \
+        == ["hom_nambu_identity", "skew_symmetry"]
+    assert reports[0]["counterexample"]["indices"] == [1, 1, 1, 2, 3]
+    dense_code, dense_out, _ = run(capsys, "verify", dense)
+    assert dense_code == 1 and json.loads(dense_out)["reports"] == reports[:1]
+    code, out, _ = run(capsys, "verify", skew, "nambu", "--format", "text")
+    assert (code, out) == (1, f"{skew}: hom_nambu_identity: FAIL (6 tuples) "
+                              "-- counterexample at (1, 1, 1, 2, 3)\n")
+    code, out, _ = run(capsys, "verify", dense, "--format", "text")
+    assert (code, out) == (1, f"{dense}: hom_nambu_identity: FAIL (6 tuples) "
+                              "-- counterexample at (1, 1, 1, 2, 3)\n")
+
+
+def test_example2_checks_every_tuple(capsys):
+    """example2 is skew with distinct twists: its identity passes over all
+    3^5 tuples."""
+    code, out, _ = run(capsys, "verify", cp("example2"), "nambu")
+    assert code == 0
+    assert json.loads(out)["reports"][0]["tuples_checked"] == 3 ** 5
+
+
 def test_verify_inapplicable_selector(capsys):
     code, _, err = run(capsys, "verify", cp("zero2"), "quadratic")
     assert code == 2

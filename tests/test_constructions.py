@@ -1,9 +1,12 @@
 """Structure-producing transforms and their hypothesis checking."""
 
+import collections
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 
+from nambucat import checks, constructions, faulkner
 from nambucat import (BilinearForm, BracketTensor, ConstructionError,
                       HomLeibnizAlgebra, HomNambuAlgebra, Matrix,
                       QuadraticStructure, Vector, centroid_twisted_bracket,
@@ -14,6 +17,7 @@ from nambucat import (BilinearForm, BracketTensor, ConstructionError,
                       trace_induced_ternary, tstar_extension,
                       twist_by_morphism)
 from nambucat.algebra import all_tuples, eval_bracket
+from nambucat.faulkner import faulkner_ternary
 from conftest import zero_algebra
 
 
@@ -219,3 +223,47 @@ def test_centroid_bracket_rejects_non_centroid(s4):
     bad = Matrix.diagonal([F(1), F(2), F(1), F(1)])
     with pytest.raises(ConstructionError):
         centroid_twisted_bracket(s4.algebra, bad, 1)
+
+
+def _count_flag_checks(monkeypatch, fail=False):
+    """Count the skew and multiplicativity checks that the builders run; with
+    ``fail`` every multiplicativity report is turned into a failure."""
+    calls = collections.Counter()
+    for name in ("check_skew_symmetry", "check_multiplicativity"):
+        fn = getattr(checks, name)
+
+        def counted(*args, _fn=fn, _name=name, **kwargs):
+            calls[_name] += 1
+            report = _fn(*args, **kwargs)
+            if fail and _name == "check_multiplicativity":
+                return replace(report, passed=False, detail="forced")
+            return report
+        for mod in (constructions, faulkner):
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+TWISTED_BUILDERS = {
+    "twisted T*-extension": (lambda s4, sl2: tstar_extension(
+        s4.algebra, BilinearForm.standard(4), omega=sign4()), {"check_multiplicativity": 1}),
+    "twisted ternary": (lambda s4, sl2: faulkner_ternary(
+        sl2, alpha=Matrix.diagonal([-1, -1, 1])),
+        {"check_skew_symmetry": 1, "check_multiplicativity": 1}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TWISTED_BUILDERS))
+def test_twisted_builders_run_each_flag_check_once(monkeypatch, s4, sl2, name):
+    """The twisted output's multiplicativity report sets its flag and is the
+    one a failure carries; no check runs on an untwisted output that is
+    thrown away."""
+    build, expected = TWISTED_BUILDERS[name]
+    calls = _count_flag_checks(monkeypatch)
+    assert build(s4, sl2).algebra.multiplicative
+    assert calls == expected
+    calls = _count_flag_checks(monkeypatch, fail=True)
+    with pytest.raises(ConstructionError) as e:
+        build(s4, sl2)
+    assert str(e.value) == f"{name} multiplicativity: multiplicativity check failed"
+    assert e.value.report.detail == "forced"
+    assert calls == expected

@@ -104,8 +104,8 @@ def test_ternary_form_invariance(sl2):
 
 
 def test_onedim_trivial():
-    g = HomNambuAlgebra(1, 2, BracketTensor.zero(1, 2),
-                        (Matrix.identity(1),), skew=True, multiplicative=True)
+    g = HomNambuAlgebra(1, 2, BracketTensor(1, 2, {}, skew_storage=True),
+                        (Matrix.identity(1),), multiplicative=True)
     q = QuadraticLieAlgebra(g, BilinearForm(1, Matrix.identity(1)))
     tern = faulkner_ternary(q)
     assert not tern.algebra.bracket.dense_items()

@@ -37,7 +37,7 @@ def _direct_sum(g: QuadraticLieAlgebra, scale: int) -> QuadraticLieAlgebra:
     gram = Matrix(2 * d, 2 * d, [G[i % d, j % d] * (1 if i < d else scale) if i // d == j // d
                                  else 0 for i in range(2 * d) for j in range(2 * d)])
     algebra = HomNambuAlgebra(2 * d, 2, BracketTensor.skew_from_entries(2 * d, 2, items),
-                              (Matrix.identity(2 * d),), skew=True, multiplicative=True)
+                              (Matrix.identity(2 * d),), multiplicative=True)
     return QuadraticLieAlgebra(algebra, BilinearForm(2 * d, gram))
 
 

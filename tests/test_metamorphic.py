@@ -63,7 +63,7 @@ def _change_basis(q, p):
     bracket = a.bracket.transform([p] * a.arity, out_map=pinv)
     algebra = HomNambuAlgebra(a.dim, a.arity, bracket,
                               tuple(pinv @ t @ p for t in a.twists),
-                              skew=a.skew, multiplicative=a.multiplicative)
+                              multiplicative=a.multiplicative)
     beta = None if q.beta is None else pinv @ q.beta @ p
     return QuadraticStructure(algebra, BilinearForm(a.dim, p.T @ q.form.gram @ p), beta)
 

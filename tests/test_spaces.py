@@ -101,9 +101,8 @@ def test_derivation_dimensions(s4, zero3):
 
 
 def test_derivations_commutant_constraint():
-    ab = HomNambuAlgebra(2, 2, BracketTensor.zero(2, 2),
-                         (Matrix.diagonal([F(1), F(2)]),),
-                         skew=True, multiplicative=True)
+    ab = HomNambuAlgebra(2, 2, BracketTensor(2, 2, {}, skew_storage=True),
+                         (Matrix.diagonal([F(1), F(2)]),), multiplicative=True)
     basis = compute_derivations(ab, 0)
     assert basis.dimension == 2     # diagonal matrices only
     for m in basis.basis:

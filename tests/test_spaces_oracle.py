@@ -89,8 +89,7 @@ def _change_basis(a, p):
     if a.skew:
         bracket = bracket.skew_canonical()
     twists = tuple(pinv @ t @ p for t in a.twists)
-    return HomNambuAlgebra(d, a.arity, bracket, twists, skew=a.skew,
-                           multiplicative=a.multiplicative)
+    return HomNambuAlgebra(d, a.arity, bracket, twists, multiplicative=a.multiplicative)
 
 
 def _relabel(a, perm, signs):
@@ -162,7 +161,7 @@ def test_skew_storage_spaces_match_oracle(shape, data):
     C = data.draw(skew_tensors(d, n, d))
     alpha = data.draw(slot_maps(d, data.draw(st.sampled_from(("identity", "invertible",
                                                                "singular")))))
-    a = HomNambuAlgebra(d, n, C, (alpha,) * (n - 1), skew=True)
+    a = HomNambuAlgebra(d, n, C, (alpha,) * (n - 1))
     for k in LEVELS:
         _same(compute_centroid, oracle_skew.centroid, a, k)
         _same(compute_derivations, oracle_skew.derivations, a, k)
@@ -267,7 +266,7 @@ def fractional_algebras(draw):
                              for t in chosen}, skew_storage=skew)
     alpha = draw(slot_maps(d, draw(st.sampled_from(("identity", "invertible", "singular")))))
     alpha = alpha.scale(draw(st.sampled_from((1, F(1, 3), F(-2, 3)))))
-    return HomNambuAlgebra(d, n, C, (alpha,) * (n - 1), skew=skew)
+    return HomNambuAlgebra(d, n, C, (alpha,) * (n - 1))
 
 
 @settings(max_examples=80, deadline=None)
