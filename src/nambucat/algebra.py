@@ -10,6 +10,12 @@ Skew storage keeps the strictly increasing keys only.  A map applied to
 every slot of such a tensor enters through the minors of the map, which are
 built row by row as exterior products, so the storage is never expanded
 into its signed permutations.
+
+Every other contraction of one tensor with others goes through one kernel,
+``BracketTensor.compose``: A(inner_0(..), ..., inner_{n-1}(..)), built slot
+by slot from nonzero entries.  Substituting a tensor into one slot, fixing
+leading slots to vectors, and mapping slots by matrices (each map as the
+arity-1 tensor ``linear(m)``) are calls of it.
 """
 
 from __future__ import annotations
@@ -24,25 +30,10 @@ from .linalg import Matrix, Vector
 
 
 def perm_sign(perm: Sequence[int]) -> int:
-    """Sign of a permutation given as a sequence of distinct comparables."""
-    sign = 1
-    seen = [False] * len(perm)
-    order = sorted(range(len(perm)), key=lambda i: perm[i])
-    pos = [0] * len(perm)
-    for rank, i in enumerate(order):
-        pos[i] = rank
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = pos[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+    """Sign of a permutation given as a sequence of distinct comparables: the
+    parity of its inversion count."""
+    inversions = sum(a > b for i, a in enumerate(perm) for b in perm[i + 1:])
+    return -1 if inversions % 2 else 1
 
 
 def is_increasing(t: Sequence[int]) -> bool:
@@ -182,8 +173,8 @@ class BracketTensor:
         return [(t, v) for t, v in acc.items() if t not in summed or any(v.entries)]
 
     def eval(self, args: Sequence[Vector]) -> Vector:
-        """Multilinear extension: the arguments substituted slot by slot
-        (``substitute`` rejects an argument of the wrong dimension)."""
+        """Multilinear extension: the arguments fixed in every slot by one
+        ``compose`` (which rejects an argument of the wrong dimension)."""
         if len(args) != self.arity:
             raise ValueError("arity mismatch")
         return self.fix(args).value(())
@@ -193,41 +184,64 @@ class BracketTensor:
         """A fixed vector as an arity-0 tensor (its one key is ``()``)."""
         return cls(v.dim, 0, {(): v})
 
+    @classmethod
+    def linear(cls, m: Matrix) -> "BracketTensor":
+        """A ``dim x d'`` map as an arity-1 tensor on d'-dimensional
+        arguments: key (j,) takes column j."""
+        return cls(m.cols, 1, {(j,): m.col(j) for j in range(m.cols)}, vdim=m.rows)
+
     def fix(self, vectors: Sequence[Vector]) -> "BracketTensor":
         """The tensor with ``vectors`` substituted into its leading slots."""
-        out = self
-        for v in vectors:
-            out = out.substitute(0, BracketTensor.constant(v))
-        return out
+        return self.compose([BracketTensor.constant(v) for v in vectors]
+                            + [None] * (self.arity - len(vectors)))
 
     def substitute(self, slot: int, inner: "BracketTensor") -> "BracketTensor":
         """Tensor of A(a_0..a_{slot-1}, inner(b_0..b_{m-1}), a_{slot+1}..), of
         arity n+m-1 with this tensor's ``vdim``; ``inner`` maps into the
-        argument space, and an arity-0 ``inner`` is a fixed vector.
-
-        Built from nonzero entries only: the outer entries are grouped by
-        their slot index, and each nonzero coordinate of each inner entry adds
-        one scaled outer entry per group member.  Entries that cancel are
-        dropped.
-        """
+        argument space, and an arity-0 ``inner`` is a fixed vector."""
         if not 0 <= slot < self.arity:
             raise ValueError(f"no slot {slot} in an arity-{self.arity} tensor")
-        if inner.vdim != self.dim or (inner.arity and inner.dim != self.dim):
+        return self.compose([inner if k == slot else None for k in range(self.arity)])
+
+    def compose(self, inners: Sequence[Optional["BracketTensor"]]) -> "BracketTensor":
+        """Tensor of A(inner_0(..), ..., inner_{n-1}(..)) with this tensor's
+        ``vdim``, whose slots are the inners' slots in order.  ``inners[k]``
+        is None (slot k stays as it is), an arity-0 tensor (slot k is fixed to
+        its vector) or a tensor into the argument space; every remaining slot
+        has one dimension.  The result has dense storage.
+
+        The slots are filled left to right from nonzero entries only.  A
+        partial key holds the inners' slots so far, then this tensor's
+        indices still to fill, so slots of different dimensions coexist.  At
+        slot k the inner's entries are indexed by their nonzero output
+        coordinates, and each partial entry whose index at k is one of them
+        is extended by every such entry.  Partial entries that land on one
+        key are summed, and those that cancel are dropped.
+        """
+        if len(inners) != self.arity:
+            raise ValueError("arity mismatch")
+        dims = {self.dim if t is None else t.dim for t in inners if t is None or t.arity}
+        if len(dims) > 1 or any(t is not None and t.vdim != self.dim for t in inners):
             raise ValueError("dimension mismatch")
-        outer: Dict[int, list] = {}
-        for idx, vec in self.dense_items():
-            outer.setdefault(idx[slot], []).append(
-                (idx[:slot], idx[slot + 1:], vec.entries))
-        acc: Dict[Tuple[int, ...], List[Fraction]] = {}
-        for t, w in inner.dense_items():
-            for j, c in enumerate(w.entries):
-                if not c:
-                    continue
-                for head, tail, vals in outer.get(j, ()):
-                    add_scaled(acc, head + t + tail, c, vals)
-        return BracketTensor(self.dim, self.arity + inner.arity - 1,
-                             {key: Vector(row) for key, row in acc.items()},
-                             vdim=self.vdim)
+        items = self.dense_items()      # (key, Vector), then (key, row) once filled
+        pos = 0                         # where slot k's index sits in a partial key
+        for inner in inners:
+            if inner is None:
+                pos += 1
+                continue
+            by_coord: Dict[int, list] = {}
+            for t, w in inner.dense_items():
+                for j, c in enumerate(w.entries):
+                    if c:
+                        by_coord.setdefault(j, []).append((t, c))
+            acc: Dict[Tuple[int, ...], List[Fraction]] = {}
+            for key, vals in items:
+                for t, c in by_coord.get(key[pos], ()):
+                    add_scaled(acc, key[:pos] + t + key[pos + 1:], c, vals)
+            items = [(key, row) for key, row in acc.items() if any(row)]
+            pos += inner.arity
+        return BracketTensor(dims.pop() if dims else self.dim, pos,
+                             {key: Vector(row) for key, row in items}, vdim=self.vdim)
 
     def permute(self, order: Sequence[int]) -> "BracketTensor":
         """The tensor with its slots reordered: the entry at key t moves to
@@ -284,7 +298,8 @@ class BracketTensor:
         Skew storage with one map M in every slot stays skew: the value on
         increasing J is the sum over stored keys K of det(M[K, J]) times the
         value at K, with J over the columns M has nonzero on rows K.  Any
-        other case gives dense storage.
+        other case gives dense storage, built by ``compose`` with each map as
+        ``linear(m)``.
         """
         if len(slot_maps) != self.arity:
             raise ValueError("need one map per slot")
@@ -296,8 +311,11 @@ class BracketTensor:
         skew = self.skew_storage and all(m == maps[0] for m in maps[1:])
         if skew:
             items = self.coeffs if maps[0] is None else self._minors(maps[0])
+        elif all(m is None for m in maps):
+            items = dict(self.dense_items())
         else:
-            items = self._apply_slot_maps(maps, width)
+            items = self.compose([None if m is None else BracketTensor.linear(m)
+                                  for m in maps]).coeffs
         vdim = self.vdim
         if out_map is not None and not _is_identity(out_map, vdim):
             items = {key: out_map.apply(vec) for key, vec in items.items()}
@@ -311,24 +329,6 @@ class BracketTensor:
             for cols, c in _row_minors(m, key).items():
                 add_scaled(acc, cols, c, vec.entries)
         return {key: Vector(v) for key, v in acc.items()}
-
-    def _apply_slot_maps(self, maps: Sequence[Optional[Matrix]],
-                         width: int) -> Dict[Tuple[int, ...], Vector]:
-        """Every entry with each non-None map applied to its slot in turn."""
-        items = dict(self.dense_items())
-        for k, m in enumerate(maps):
-            if m is None:
-                continue
-            nxt: Dict[Tuple[int, ...], List[Fraction]] = {}
-            for idx, vec in items.items():
-                i = idx[k]
-                for j in range(width):
-                    c = m[i, j]
-                    if c == 0:
-                        continue
-                    add_scaled(nxt, idx[:k] + (j,) + idx[k + 1:], c, vec.entries)
-            items = {key: Vector(v) for key, v in nxt.items()}
-        return items
 
     def skew_canonical(self) -> "BracketTensor":
         """Re-store a (verified skew) tensor with increasing-tuple storage."""

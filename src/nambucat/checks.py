@@ -16,10 +16,12 @@ x-block and the y-block, so those tuples span all cases.  Under distinct
 twists [a_1 x_1, a_2 x_2, [y]] does not alternate in x, and the loop over
 all tuples runs.  The shortcut builds both sides from nonzero entries, read
 off the stored keys by ``free_slot_items``; so does the representation
-identity, whose sides are an operator product of two tensors and a sum of
-substitutions with their slots reordered by ``permute``.  Invariance of a
-form is the residual W(x, i)_j + W(x, j)_i of one tensor W, which must
-vanish; on skew storage it is read off the stored keys for increasing x.
+identity, whose sides are an operator product and a sum of substitutions
+with their slots reordered by ``permute``.  The operator product is the
+product of m x m matrices, a bilinear tensor on their flattenings, composed
+with the two operator tensors.  Invariance of a form is the residual
+W(x, i)_j + W(x, j)_i of one tensor W, which must vanish; on skew storage
+it is read off the stored keys for increasing x.
 On skew storage the skew-symmetry check passes without expanding the
 tensor, since that storage is alternating by construction, and two
 skew-storage tensors are compared on their stored keys.
@@ -388,15 +390,11 @@ def check_morphism(src: HomNambuAlgebra, dst: HomNambuAlgebra,
                     dst.bracket.transform([f] * n))
 
 
-def _operator_product(A: BracketTensor, B: BracketTensor, m: int) -> BracketTensor:
-    """Tensor of (x, y) -> A(x) B(y), keyed x + y, of flattened m x m operators."""
-    right = [(t, Matrix(m, m, v.entries)) for t, v in B.dense_items()]
-    items = {}
-    for s, u in A.dense_items():
-        left = Matrix(m, m, u.entries)
-        for t, r in right:
-            items[s + t] = (left @ r).flatten()
-    return BracketTensor(A.dim, A.arity + B.arity, items, vdim=m * m)
+def _matrix_product(m: int) -> BracketTensor:
+    """The product of m x m matrices as a bilinear tensor on their row-major
+    flattenings: (r*m+k, k*m+c) -> e_{r*m+c}."""
+    return BracketTensor(m * m, 2, {(r * m + k, k * m + c): Vector.basis(m * m, r * m + c)
+                                    for r in range(m) for k in range(m) for c in range(m)})
 
 
 def check_representation(a: HomNambuAlgebra, rep, mode: str = "primal",
@@ -420,8 +418,8 @@ def check_representation(a: HomNambuAlgebra, rep, mode: str = "primal",
     _budget(d ** (2 * (n - 1)), max_tuples)
 
     rho_tw = rho.transform(list(a.twists))  # rho(a_1 x_1, ..., a_{n-1} x_{n-1})
-    product = (_operator_product(rho_tw, rho, m) if mode == "primal"
-               else _operator_product(rho, rho_tw, m))
+    product = _matrix_product(m).compose([rho_tw, rho] if mode == "primal"
+                                         else [rho, rho_tw])
     swap = list(range(n - 1, 2 * n - 2)) + list(range(n - 1))
     lhs = BracketTensor.combine([(1, product), (-1, product.permute(swap))])
     # substituting into slot i keys term i y[:i] + x + (y_i,) + y[i+1:]

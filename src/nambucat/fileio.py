@@ -302,6 +302,8 @@ def representation_to_document(rep: Representation) -> dict:
 
 
 def representation_from_document(doc: dict) -> Representation:
+    if not isinstance(doc, dict):
+        raise FileFormatError("top level must be a JSON object")
     if doc.get("kind") != "representation":
         raise FileFormatError("expected kind 'representation'")
     d, n, m = doc.get("source_dim"), doc.get("arity"), doc.get("target_dim")
@@ -309,8 +311,10 @@ def representation_from_document(doc: dict) -> Representation:
         if not (_is_int(x) and x >= 1):
             raise FileFormatError(f"{label} must be a positive integer")
     items: Dict[Tuple[int, ...], Vector] = {}
-    for e in _entries_from(doc.get("rho", []), {"inputs", "matrix"}, "rho"):
+    for e in _entries_from(doc.get("rho"), {"inputs", "matrix"}, "rho"):
         idx = _index_tuple(e["inputs"], n - 1, d, "rho")
+        if idx in items:
+            raise FileFormatError(f"duplicate rho entry for inputs {e['inputs']}")
         items[idx] = _mat_from(e["matrix"], m, m, "rho matrix").flatten()
     rho = BracketTensor(d, n - 1, items, vdim=m * m)
     return Representation(d, n, m, rho, _mat_from(doc.get("nu"), m, m, "nu"))

@@ -433,29 +433,25 @@ def solve(m: Matrix, b: Vector) -> Optional[Vector]:
     """One exact solution of m x = b, or None if the system is inconsistent."""
     if b.dim != m.rows:
         raise ValueError("dimension mismatch")
-    n = m.cols
-    aug = [list(row) + [b[i]] for i, row in enumerate(m.row_list())]
-    rows, pivots = _rref(aug)
-    for r in range(len(pivots), len(rows)):
-        if rows[r][n] != 0:
-            return None
-    x = [Fraction(0)] * n
-    for r, p in enumerate(pivots):
-        if p == n:
-            return None
-        x[p] = rows[r][n]
-    return Vector(x)
+    x = solve_matrix(m, Matrix(b.dim, 1, b.entries))
+    return None if x is None else x.col(0)
 
 
 def solve_matrix(m: Matrix, rhs: Matrix) -> Optional[Matrix]:
-    """Solve m X = rhs column by column; None if any column is inconsistent."""
-    cols = []
-    for j in range(rhs.cols):
-        x = solve(m, rhs.col(j))
-        if x is None:
-            return None
-        cols.append(x)
-    return Matrix.from_columns(cols)
+    """One exact solution X of m X = rhs, its free variables zero, from one
+    reduction of [m | rhs]; None if any column is inconsistent, which shows
+    as a pivot among the rhs columns."""
+    if rhs.rows != m.rows:
+        raise ValueError("dimension mismatch")
+    n, k = m.cols, rhs.cols
+    rows, pivots = _rref([list(m.entries[i * n:(i + 1) * n] + rhs.entries[i * k:(i + 1) * k])
+                          for i in range(m.rows)])
+    if pivots and pivots[-1] >= n:
+        return None
+    x = [[Fraction(0)] * k for _ in range(n)]
+    for row, p in zip(rows, pivots):
+        x[p] = row[n:]
+    return Matrix(n, k, [v for row in x for v in row])
 
 
 def in_span(basis: Sequence[Vector], v: Vector) -> Optional[Vector]:

@@ -165,7 +165,7 @@ def compute_derivations(a: HomNambuAlgebra, k: int) -> SubspaceBasis:
     patterns = [(i, a.bracket, pw) for i in range(n)]
     rows = _assemble(d, d, a.bracket, patterns)
     # D alpha = alpha D: the same equations for the unary "bracket" alpha
-    unary = BracketTensor(d, 1, {(v,): alpha.col(v) for v in range(d)})
+    unary = BracketTensor.linear(alpha)
     rows += _assemble(d, d, unary, [(0, unary, None)])
     return _matrix_nullspace_basis(rows, d)
 

@@ -75,7 +75,7 @@ def sum5(s4):
                            (Matrix.identity(5),) * 2, multiplicative=True)
 
 
-# random skew-storage tensors and slot maps for the differential tests
+# random tensors and slot maps for the differential tests
 
 entries = st.sampled_from([F(-1), F(0), F(0), F(1), F(2), F(1, 2)])
 
@@ -88,6 +88,21 @@ def skew_tensors(draw, d, n, vdim):
     return BracketTensor(d, n, {k: Vector(draw(st.lists(entries, min_size=vdim,
                                                          max_size=vdim)))
                                 for k in keys}, skew_storage=True, vdim=vdim)
+
+
+coef = st.one_of(st.just(F(0)), st.just(F(0)),
+                 st.fractions(min_value=-3, max_value=3, max_denominator=3))
+
+
+@st.composite
+def tensors(draw, dim, arity, vdim):
+    """A random tensor, in skew storage about half the time."""
+    skew = arity > 0 and draw(st.booleans())
+    keys = (itertools.combinations(range(dim), arity) if skew
+            else itertools.product(range(dim), repeat=arity))
+    coeffs = {t: Vector(draw(st.lists(coef, min_size=vdim, max_size=vdim)))
+              for t in keys if draw(st.booleans())}
+    return BracketTensor(dim, arity, coeffs, skew_storage=skew, vdim=vdim)
 
 
 def matrix(draw, rows, cols):

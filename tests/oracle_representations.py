@@ -2,7 +2,10 @@
 moved onto tensor kernels: the representation identity checked one pair of
 basis tuples at a time with dense ``Matrix`` products, and the adjoint
 representation, coadjoint representation and form intertwiner built from one
-adjoint operator per basis tuple.  Tests compare the library against them.
+adjoint operator per basis tuple.  ``operator_product`` is the product of two
+operator-valued tensors as the identity's tensor form built it, one dense
+``Matrix`` product per pair of entries.  Tests compare the library against
+them.
 """
 
 from typing import Tuple
@@ -21,6 +24,18 @@ def adjoint_of_basis_tuple(a, idx: Tuple[int, ...]) -> Matrix:
 
 def _mat_of(vec: Vector, m: int) -> Matrix:
     return Matrix(m, m, vec.entries)
+
+
+def operator_product(A: BracketTensor, B: BracketTensor, m: int) -> BracketTensor:
+    """Tensor of (x, y) -> A(x) B(y), keyed x + y, of flattened m x m
+    operators: every pair of entries multiplied as dense ``Matrix`` objects."""
+    right = [(t, Matrix(m, m, v.entries)) for t, v in B.dense_items()]
+    items = {}
+    for s, u in A.dense_items():
+        left = Matrix(m, m, u.entries)
+        for t, r in right:
+            items[s + t] = (left @ r).flatten()
+    return BracketTensor(A.dim, A.arity + B.arity, items, vdim=m * m)
 
 
 def check_representation(a, rep, mode: str = "primal", max_tuples=None) -> CheckReport:

@@ -4,18 +4,61 @@ adjoint operator and inner derivation built from it, the ``raise_arity``
 builder and both ``reduce_arity`` loops, as they were written before.  Each
 visits every basis tuple with its own ``value`` lookups and fresh Vector
 arithmetic.  The total Hom-associativity chain's old loop is
-``oracle_checks.total_hom_associativity``.  Tests compare the library against
-them.
+``oracle_checks.total_hom_associativity``.
+
+``substitute`` is ``BracketTensor.substitute`` as it was before
+``BracketTensor.compose`` replaced it, and ``compose`` chains it with the
+old dense slot-map loop.  Tests compare the library against all of these.
 """
 
 from fractions import Fraction
-from typing import Dict, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from nambucat.algebra import BracketTensor, HomNambuAlgebra, QuadraticStructure, all_tuples
+import oracle_skew
+
+from nambucat.algebra import (BracketTensor, HomNambuAlgebra, QuadraticStructure,
+                              add_scaled, all_tuples)
 from nambucat.checks import check_hom_nambu_identity, check_quadratic
 from nambucat.constructions import ConstructionError, _require, _verified_flags
 from nambucat.linalg import Matrix, Vector
 from nambucat.spaces import _twist_power, derivation_membership
+
+
+def substitute(outer: BracketTensor, slot: int, inner: BracketTensor) -> BracketTensor:
+    """outer(a_0..a_{slot-1}, inner(b), a_{slot+1}..): the outer entries
+    grouped by their slot index, and each nonzero coordinate of each inner
+    entry adds one scaled outer entry per group member."""
+    if not 0 <= slot < outer.arity:
+        raise ValueError(f"no slot {slot} in an arity-{outer.arity} tensor")
+    if inner.vdim != outer.dim or (inner.arity and inner.dim != outer.dim):
+        raise ValueError("dimension mismatch")
+    groups: Dict[int, list] = {}
+    for idx, vec in outer.dense_items():
+        groups.setdefault(idx[slot], []).append((idx[:slot], idx[slot + 1:], vec.entries))
+    acc: Dict[Tuple[int, ...], List[Fraction]] = {}
+    for t, w in inner.dense_items():
+        for j, c in enumerate(w.entries):
+            if not c:
+                continue
+            for head, tail, vals in groups.get(j, ()):
+                add_scaled(acc, head + t + tail, c, vals)
+    return BracketTensor(outer.dim, outer.arity + inner.arity - 1,
+                         {key: Vector(row) for key, row in acc.items()},
+                         vdim=outer.vdim)
+
+
+def compose(outer: BracketTensor, inners: Sequence[Optional[BracketTensor]],
+            maps: Optional[Sequence[Optional[Matrix]]] = None) -> BracketTensor:
+    """outer(inner_0(..), ..., inner_{n-1}(..)) by one ``substitute`` per
+    non-None inner, from the last slot to the first so that the slots still
+    to fill keep their place, then ``maps`` (one per slot left) applied one
+    slot at a time by ``oracle_skew.transform``, the loop of the dense
+    ``transform`` that ``compose`` replaced."""
+    out = outer
+    for k in reversed(range(outer.arity)):
+        if inners[k] is not None:
+            out = substitute(out, k, inners[k])
+    return out if maps is None else oracle_skew.transform(out, maps)
 
 
 def eval(tensor: BracketTensor, args: Sequence[Vector]) -> Vector:

@@ -41,6 +41,23 @@ def test_perm_sign():
     assert perm_sign((2, 0, 1)) == 1
 
 
+def _sign_by_swaps(seq):
+    """Brute force: sort by adjacent swaps, each flipping the sign."""
+    seq, sign = list(seq), 1
+    for end in range(len(seq) - 1, 0, -1):
+        for i in range(end):
+            if seq[i] > seq[i + 1]:
+                seq[i], seq[i + 1] = seq[i + 1], seq[i]
+                sign = -sign
+    return sign
+
+
+@given(st.one_of(st.lists(st.integers(-20, 20), unique=True, max_size=8),
+                 st.lists(st.text(max_size=2), unique=True, max_size=6).map(tuple)))
+def test_perm_sign_matches_brute_force(seq):
+    assert perm_sign(seq) == _sign_by_swaps(seq)
+
+
 def test_tuple_iterators():
     assert len(list(all_tuples(3, 2))) == 9
     assert list(increasing_tuples(3, 2)) == [(0, 1), (0, 2), (1, 2)]

@@ -15,10 +15,10 @@ from hypothesis import strategies as st
 
 import oracle_constructions as oc
 import oracle_representations as orr
-from conftest import filippov
+from conftest import filippov, tensors
 from nambucat import (BilinearForm, BracketTensor, HomLeibnizAlgebra, HomNambuAlgebra,
                       Matrix, QuadraticStructure, Vector, corpus)
-from nambucat.checks import check_representation
+from nambucat.checks import _matrix_product, check_representation
 from nambucat.constructions import (induced_hom_leibniz,
                                     trace_induced_ternary, tstar_extension)
 from nambucat.representations import adjoint_rep, coadjoint_rep, rep_isomorphism_psi
@@ -84,12 +84,23 @@ def _compare_representations(a, q):
 @pytest.mark.parametrize("name", NAMBU + ["A4", "A5", "A6"])
 def test_representations_match_oracle(name):
     """Past the loop's reach, zero4 and A5 still pass both modes, as theory
-    says they must; on A6 the new check itself takes a minute (720^2 operator
-    products), so there only the tensors and the intertwiner are compared."""
+    says they must; on A6 the new check itself takes half a minute a mode
+    (720^2 operator products), so there only the tensors and the intertwiner
+    are compared."""
     a, q = _structure(name)
     if not _compare_representations(a, q) and a.dim < 6:
         _, condition = coadjoint_rep(a)
         assert condition.passed and check_representation(a, adjoint_rep(a)).passed
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_matrix_product_matches_dense_operator_product(data):
+    """The operator product as the matrix-product tensor composed with two
+    operator tensors, against one dense ``Matrix`` product per pair."""
+    d, m = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    A, B = (data.draw(tensors(d, data.draw(st.integers(1, 2)), m * m)) for _ in range(2))
+    assert _matrix_product(m).compose([A, B]) == orr.operator_product(A, B, m)
 
 
 def test_representation_counts_and_failures_carry_over(ex2):

@@ -192,16 +192,22 @@ def test_representation_document_kind(s4):
         fileio.representation_from_document(doc)
 
 
+def _drop(d, key):
+    return {k: v for k, v in d.items() if k != key}
+
+
 @pytest.mark.parametrize("mutate", [
-    lambda d: d.pop("nu"),
-    lambda d: d["rho"][0].pop("inputs"),
-    lambda d: d["rho"][0].update(inputs=[True, 2]),
-    lambda d: d.update(rho={}),
+    lambda d: _drop(d, "nu"),
+    lambda d: dict(d, rho=[_drop(d["rho"][0], "inputs")] + d["rho"][1:]),
+    lambda d: dict(d, rho=[dict(d["rho"][0], inputs=[True, 2])] + d["rho"][1:]),
+    lambda d: dict(d, rho={}),
+    lambda d: [d],                                      # a list, not an object
+    lambda d: _drop(d, "rho"),
+    lambda d: dict(d, rho=d["rho"] + [dict(d["rho"][0], matrix=d["rho"][1]["matrix"])]),
 ])
 def test_malformed_representation_fails_closed(s4, mutate):
     from nambucat.representations import adjoint_rep
     doc = fileio.representation_to_document(adjoint_rep(s4.algebra))
     fileio.representation_from_document(doc)
-    mutate(doc)
     with pytest.raises(FileFormatError):
-        fileio.representation_from_document(doc)
+        fileio.representation_from_document(mutate(doc))

@@ -160,3 +160,28 @@ def test_elimination_matches_dense_oracle(rows, cols, data):
     w = Vector(data.draw(st.lists(sparse_rationals, min_size=cols, max_size=cols)))
     for v in (w, Vector.zero(cols), sum(basis, Vector.zero(cols))):
         assert in_span(basis, v) == oracle.in_span(basis, v)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 5), st.integers(0, 5), st.integers(1, 4), st.data())
+def test_solve_matrix_matches_dense_oracle(rows, cols, k, data):
+    """All right-hand sides in one elimination against the dense oracle, one
+    column at a time: None when any column is inconsistent.  m has a repeated
+    row, so it is singular, and each column is either m times a random vector
+    or random (mostly inconsistent when m has more rows than rank)."""
+    m = Matrix(rows, cols, data.draw(st.lists(sparse_rationals, min_size=rows * cols,
+                                              max_size=rows * cols)))
+    if rows:
+        i = data.draw(st.integers(0, rows - 1))
+        m = Matrix.from_rows(m.row_list() + [[3 * x for x in m.row(i)]])
+    columns = []
+    for _ in range(k):
+        x = Vector(data.draw(st.lists(sparse_rationals, min_size=cols, max_size=cols)))
+        b = Vector(data.draw(st.lists(sparse_rationals, min_size=m.rows, max_size=m.rows)))
+        columns.append(m.apply(x) if data.draw(st.booleans()) else b)
+    want = [oracle.solve(m, b) for b in columns]
+    got = solve_matrix(m, Matrix(m.rows, k, [b[i] for i in range(m.rows) for b in columns]))
+    if any(x is None for x in want):
+        assert got is None
+    else:
+        assert got == Matrix(cols, k, [x[i] for i in range(cols) for x in want])

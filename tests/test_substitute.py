@@ -1,5 +1,6 @@
-"""``BracketTensor.substitute`` against its definition, and every site built
-on it (``eval``, ``adjoint_operator``, ``inner_derivation``, the
+"""``BracketTensor.substitute`` against its definition, ``compose`` against
+one oracle substitution per slot and the old dense slot-map loop, and every
+site built on them (``eval``, ``adjoint_operator``, ``inner_derivation``, the
 ``raise_arity`` and ``reduce_arity`` builders) against the tuple-by-tuple
 loops in ``oracle_substitute``."""
 
@@ -11,26 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle_substitute as oracle
-from conftest import filippov
+from conftest import coef, filippov, matrix, tensors
 from nambucat import (BilinearForm, BracketTensor, ConstructionError,
                       Matrix, QuadraticStructure, Vector,
                       corpus, fileio, raise_arity, reduce_arity,
                       twist_by_morphism)
-from nambucat.algebra import adjoint_operator, all_tuples, increasing_tuples
+from nambucat.algebra import adjoint_operator, all_tuples
 from nambucat.spaces import inner_derivation
-
-coef = st.one_of(st.just(F(0)), st.just(F(0)),
-                 st.fractions(min_value=-3, max_value=3, max_denominator=3))
-
-
-@st.composite
-def tensors(draw, dim, arity, vdim):
-    """A random tensor, in skew storage about half the time."""
-    skew = arity > 0 and draw(st.booleans())
-    keys = increasing_tuples(dim, arity) if skew else all_tuples(dim, arity)
-    coeffs = {t: Vector(draw(st.lists(coef, min_size=vdim, max_size=vdim)))
-              for t in keys if draw(st.booleans())}
-    return BracketTensor(dim, arity, coeffs, skew_storage=skew, vdim=vdim)
 
 
 def _by_definition(outer, slot, inner, key):
@@ -60,6 +48,7 @@ def test_substitute_matches_definition(n, m, data):
         assert all(not v.is_zero() for v in out.coeffs.values())
         for key in all_tuples(d, n + m - 1):
             assert out.value(key) == _by_definition(outer, slot, inner, key)
+        assert out == oracle.substitute(outer, slot, inner)
 
 
 def test_substitute_rejects_bad_shapes(s4):
@@ -70,6 +59,86 @@ def test_substitute_rejects_bad_shapes(s4):
         C.substitute(0, BracketTensor.constant(Vector.zero(3)))
     with pytest.raises(ValueError, match="dimension mismatch"):
         C.substitute(0, BracketTensor.zero(3, 2, vdim=4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_compose_matches_sequential_oracle(data):
+    """Each slot gets None, a random tensor of arity 0-3 or a random map; the
+    maps are rectangular (d x d') about half the time, and then every other
+    slot gets a constant.  The oracle substitutes the tensors one slot at a
+    time and then applies the maps, one slot at a time."""
+    d = data.draw(st.integers(1, 3))
+    n = data.draw(st.integers(1, 3))
+    vdim = data.draw(st.sampled_from((d, d + 1, 1)))
+    outer = data.draw(tensors(d, n, vdim))
+    width = data.draw(st.sampled_from((d, d % 3 + 1)))
+    budget = 5 - n          # at most 5 result slots
+    inners, substituted, maps = [], [], []
+    for _ in range(n):
+        kind = data.draw(st.sampled_from(("none", "tensor", "map") if width == d
+                                         else ("tensor", "map")))
+        if kind == "map":
+            m = matrix(data.draw, d, width)
+            inners.append(BracketTensor.linear(m))
+            substituted.append(None)
+            maps.append(m)
+            continue
+        arity = data.draw(st.integers(0, min(3, budget + 1))) if width == d else 0
+        budget -= max(arity - 1, 0)
+        inner = None if kind == "none" else data.draw(tensors(d, arity, d))
+        inners.append(inner)
+        substituted.append(inner)
+        maps += [None] * (1 if inner is None else inner.arity)
+    out = outer.compose(inners)
+    want = oracle.compose(outer, substituted, maps if maps else None)
+    assert (out.dim, out.arity, out.vdim) == (want.dim if maps else d, want.arity, vdim)
+    assert not out.skew_storage
+    assert all(not v.is_zero() for v in out.coeffs.values())
+    assert out == want
+
+
+@pytest.mark.parametrize("name", ["example1", "example2", "simple3lie4", "sl2", "A4"])
+def test_compose_matches_sequential_oracle_on_brackets(name):
+    """The bracket in its own first slot, a dense map in the second and a
+    constant in any other: many partial entries land on one key."""
+    C = ALGEBRAS[name].bracket
+    n, d = C.arity, C.dim
+    p = Matrix(d, d, [(i * d + j) % 3 - 1 for i in range(d) for j in range(d)])
+    const = BracketTensor.constant(Vector(range(1, d + 1)))
+    out = C.compose([C, BracketTensor.linear(p)] + [const] * (n - 2))
+    want = oracle.compose(C, [C, None] + [const] * (n - 2), [None] * n + [p])
+    assert out == want and out.coeffs
+
+
+def test_compose_sums_and_drops_cancelling_entries():
+    # A(e_0) = 1 and A(e_1) = -1, under a map whose columns are (1, 1),
+    # (1, 0) and (1, -1): the first cancels, the last sums to 2
+    outer = BracketTensor(2, 1, {(0,): Vector([1]), (1,): Vector([-1])}, vdim=1)
+    out = outer.compose([BracketTensor.linear(Matrix(2, 3, [1, 1, 1, 1, 0, -1]))])
+    assert (out.dim, out.arity, out.vdim) == (3, 1, 1)
+    assert out.coeffs == {(1,): Vector([1]), (2,): Vector([2])}
+
+
+def test_compose_and_transform_without_inners(s4):
+    v = Vector([1, F(1, 2)])
+    t = BracketTensor(2, 2, {(0, 1): v})
+    assert t.compose([None, None]) == t
+    # transform builds no new entries when no slot is mapped
+    assert t.transform([None, Matrix.identity(2)]).coeffs[(0, 1)] is v
+    C = s4.algebra.bracket
+    out = C.compose([None] * 3)
+    assert out == C and not out.skew_storage
+
+
+def test_compose_rejects_bad_shapes(s4):
+    C = s4.algebra.bracket
+    with pytest.raises(ValueError, match="arity mismatch"):
+        C.compose([None, None])
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        C.compose([None, None, BracketTensor.zero(4, 1, vdim=3)])
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        C.compose([BracketTensor.linear(Matrix.zero(4, 3)), None, None])
 
 
 def test_eval_errors_unchanged(s4):
