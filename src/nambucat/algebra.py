@@ -15,7 +15,9 @@ Every other contraction of one tensor with others goes through one kernel,
 ``BracketTensor.compose``: A(inner_0(..), ..., inner_{n-1}(..)), built slot
 by slot from nonzero entries.  Substituting a tensor into one slot, fixing
 leading slots to vectors, and mapping slots by matrices (each map as the
-arity-1 tensor ``linear(m)``) are calls of it.
+arity-1 tensor ``linear(m)``) are calls of it.  Brackets on tensor spaces
+are sums of Kronecker products of tensors, built by one more kernel,
+``BracketTensor.kron``.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .linalg import Matrix, Vector
@@ -282,6 +285,46 @@ class BracketTensor:
         for c, tensor in terms:
             for key, vec in tensor.dense_items():
                 add_scaled(acc, key, c, vec.entries)
+        dim, arity, vdim = shapes.pop()
+        return cls(dim, arity, {key: Vector(row) for key, row in acc.items()}, vdim=vdim)
+
+    @classmethod
+    def kron(cls, terms: Sequence[Tuple[Sequence["BracketTensor"],
+                                        Sequence[Sequence[Tuple[int, int]]]]]) -> "BracketTensor":
+        """The sum over the terms (factors, slots) of A_0(..) (x) ... (x)
+        A_{k-1}(..), outputs multiplied in factor order.  Result slot p reads
+        the (factor, slot) pairs ``slots[p]`` as one slot of their tensor
+        product, the first pair most significant.  Each term reads every factor
+        slot once, and all terms give one shape; an arity-0 result has
+        ``dim == vdim``.  Terms are built factor by factor from nonzero entries
+        into one table of rows, and rows that cancel are dropped (dense storage)."""
+        acc: Dict[Tuple[int, ...], List[Fraction]] = {}
+        shapes = set()
+        for factors, slots in terms:
+            if sorted(p for group in slots for p in group) != [
+                    (f, s) for f, t in enumerate(factors) for s in range(t.arity)]:
+                raise ValueError("a kron term must read every factor slot once")
+            vdim = prod(t.vdim for t in factors)
+            shapes |= {(prod(factors[f].dim for f, _ in group), len(slots), vdim)
+                       for group in slots} or {(vdim, 0, vdim)}
+            if len(shapes) > 1:
+                raise ValueError("kron result slots or terms differ in shape")
+            places = [[(f, s, prod(factors[g].dim for g, _ in group[q + 1:]))
+                       for q, (f, s) in enumerate(group)] for group in slots]
+            partial = [((0,) * len(slots), None)]       # (key so far, output so far)
+            for f, t in enumerate(factors):
+                part = [(tuple(sum(key[s] * r for g, s, r in read if g == f) for read in places),
+                         [(j, c) for j, c in enumerate(v.entries) if c])
+                        for key, v in t.dense_items()]
+                partial = [(tuple(a + b for a, b in zip(key, share)), w if out is None
+                            else [(i * t.vdim + j, c * x) for i, c in out for j, x in w])
+                           for key, out in partial for share, w in part]
+            for key, out in partial:
+                row = acc.setdefault(key, [Fraction(0)] * vdim)
+                for i, c in out or [(0, 1)]:
+                    row[i] += c
+        if not shapes:
+            raise ValueError("kron needs one or more terms")
         dim, arity, vdim = shapes.pop()
         return cls(dim, arity, {key: Vector(row) for key, row in acc.items()}, vdim=vdim)
 

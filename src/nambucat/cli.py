@@ -271,13 +271,9 @@ def cmd_report(args) -> int:
             checks = [_run_check(obj, s, args.max_tuples, loaded)
                       for s in _applicable(obj, defaults=True)]
             ok = all(_report_ok(r) for r in checks)
-            if not ok:
-                failures += 1
-            if quad is None:
-                form = "-"
-            else:
-                form = "nondegenerate" if quad.form.nondegenerate else \
-                    f"degenerate (rank {rank(quad.form.gram)})"
+            failures += not ok
+            form = "-" if quad is None else "nondegenerate" if quad.form.nondegenerate \
+                else f"degenerate (rank {rank(quad.form.gram)})"
             cent = der = "-"
             if isinstance(a, HomNambuAlgebra):
                 cent = spaces.compute_centroid(a, 0).dimension
@@ -285,9 +281,8 @@ def cmd_report(args) -> int:
                     der = spaces.compute_derivations(a, 0).dimension
                 except ValueError:
                     der = "-"     # distinct twists: no single commuting map
-            kind = fileio.to_document(obj)["kind"]
             arity = 2 if isinstance(a, HomLeibnizAlgebra) else a.arity
-            rows.append((path, kind, str(a.dim), str(arity),
+            rows.append((path, fileio.kind_of(obj), str(a.dim), str(arity),
                          "pass" if ok else "FAIL", str(cent), str(der), form))
         except (ValueError, TupleBudgetExceeded) as e:
             failures += 1

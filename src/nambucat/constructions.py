@@ -9,19 +9,16 @@ check a transform runs honours its ``max_tuples`` budget.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import prod
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import (BilinearForm, BracketTensor, HomAssocNAry,
-                      HomLeibnizAlgebra, HomNambuAlgebra, QuadraticStructure,
-                      tuple_position)
+                      HomLeibnizAlgebra, HomNambuAlgebra, QuadraticStructure)
 from .checks import (CheckReport, check_hom_leibniz, check_hom_nambu_identity,
                      check_morphism, check_multiplicativity, check_quadratic,
                      check_skew_symmetry)
-from .linalg import Matrix, Vector, in_span, kron, kron_vec
+from .linalg import Matrix, Vector, in_span, kron
 
 
 def kron_power(m: Matrix, k: int) -> Matrix:
@@ -107,10 +104,6 @@ def self_twist(a: HomNambuAlgebra, verify: bool = True,
     return out
 
 
-def _flat(idx_a: int, idx_n: int, dn: int) -> int:
-    return idx_a * dn + idx_n
-
-
 def tensor_product(h: HomAssocNAry, a: HomNambuAlgebra,
                    form_h: Optional[BilinearForm] = None,
                    beta_h: Optional[Matrix] = None,
@@ -125,12 +118,7 @@ def tensor_product(h: HomAssocNAry, a: HomNambuAlgebra,
         raise ConstructionError("arity mismatch")
     n = a.arity
     da, dn = h.dim, a.dim
-    items: Dict[Tuple[int, ...], Vector] = {}
-    for s, mv in h.mu.dense_items():
-        for t, cv in a.bracket.dense_items():
-            key = tuple(_flat(s[i], t[i], dn) for i in range(n))
-            items[key] = kron_vec(mv, cv)
-    bracket = BracketTensor(da * dn, n, items)
+    bracket = BracketTensor.kron([([h.mu, a.bracket], [[(0, i), (1, i)] for i in range(n)])])
     twists = tuple(kron(h.twists[i], a.twists[i]) for i in range(n - 1))
     out = HomNambuAlgebra(da * dn, n, bracket, twists)
     out = _verified_flags(out, max_tuples=max_tuples)
@@ -139,8 +127,7 @@ def tensor_product(h: HomAssocNAry, a: HomNambuAlgebra,
     if form_h is None:
         return out
 
-    if beta_h is None:
-        beta_h = Matrix.identity(da)
+    beta_h = Matrix.identity(da) if beta_h is None else beta_h
     if form_a is None:
         raise ConstructionError("tensor form needs the quadratic structure of the second factor")
     # hypothesis checks on the associative factor's form
@@ -176,28 +163,16 @@ def induced_hom_leibniz(a: HomNambuAlgebra,
         raise ConstructionError("input must be multiplicative")
     n, d = a.arity, a.dim
     alpha = a.twist
-    D = d ** (n - 1)
-    alpha_entries = [(k, j, alpha[k, j]) for k in range(d) for j in range(d) if alpha[k, j]]
     # [u, v] is the sum over factors i of L(u) on factor i and alpha on the
-    # others.  An entry (u + (c,), w) of the bracket meets every v with
-    # v_i = c; each other factor j contributes an entry alpha[k_j, v_j], and
-    # the output tensor index is k with k_i running over w.
-    rows: Dict[Tuple[int, int], List[Fraction]] = {}
-    for t, w in a.bracket.dense_items():
-        ui, c = tuple_position(t[:-1], d), t[-1]
-        for i in range(n - 1):
-            for others in itertools.product(alpha_entries, repeat=n - 2):
-                coef = prod(x for _, _, x in others)
-                ks = [k for k, _, _ in others]
-                vs = [j for _, j, _ in others]
-                vi = tuple_position(vs[:i] + [c] + vs[i:], d)
-                row = rows.setdefault((ui, vi), [Fraction(0)] * D)
-                for r, x in enumerate(w.entries):
-                    if x:
-                        row[tuple_position(ks[:i] + [r] + ks[i:], d)] += coef * x
-    bracket = BracketTensor(D, 2, {key: Vector(row) for key, row in rows.items()})
+    # others: u is read by the bracket's first n-1 slots, and factor j of v by
+    # its last slot (j = i) or by alpha
+    twist = BracketTensor.linear(alpha)
+    bracket = BracketTensor.kron([
+        ([twist] * i + [a.bracket] + [twist] * (n - 2 - i),
+         [[(i, k) for k in range(n - 1)], [(j, n - 1 if j == i else 0) for j in range(n - 1)]])
+        for i in range(n - 1)])
     alpha_hat = kron_power(alpha, n - 1)
-    out = HomLeibnizAlgebra(D, bracket, alpha_hat)
+    out = HomLeibnizAlgebra(bracket.dim, bracket, alpha_hat)
     if verify:
         _require(check_hom_leibniz(out, max_tuples), "induced Leibniz algebra")
     if form is None:
@@ -205,7 +180,7 @@ def induced_hom_leibniz(a: HomNambuAlgebra,
     if form.beta is None or form.beta != alpha:
         raise ConstructionError("induced form needs a Hom-quadratic input with beta = twist")
     _require(check_quadratic(form, max_tuples), "input quadratic structure")
-    b_hat = BilinearForm(D, kron_power(form.form.gram, n - 1))
+    b_hat = BilinearForm(bracket.dim, kron_power(form.form.gram, n - 1))
     if verify:
         invariance = check_quadratic(
             QuadraticStructure(out.as_nambu(), b_hat, beta=alpha_hat), max_tuples)
@@ -311,27 +286,21 @@ def trace_induced_ternary(l: HomLeibnizAlgebra, gamma: Matrix, tau: Vector,
     alpha = l.twist
     _require(check_skew_symmetry(l.as_nambu(), max_tuples), "input bracket skew-symmetry")
 
-    def tval(m: Matrix) -> Vector:
-        return m.T.apply(tau)   # i -> tau(m e_i)
-
-    t_a, t_g = tval(alpha), tval(gamma)
+    t_a, t_g = alpha.T.apply(tau), gamma.T.apply(tau)      # i -> tau(m e_i)
     for i in range(d):
         for j in range(d):
-            if t_a[i] * tau[j] != tau[i] * t_a[j]:
-                raise ConstructionError(
-                    f"trace condition tau(a x) tau(y) = tau(x) tau(a y) fails at ({i + 1},{j + 1})")
-            if t_g[i] * tau[j] != tau[i] * t_g[j]:
-                raise ConstructionError(
-                    f"trace condition tau(g x) tau(y) = tau(x) tau(g y) fails at ({i + 1},{j + 1})")
+            for name, t in (("a", t_a), ("g", t_g)):
+                if t[i] * tau[j] != tau[i] * t[j]:
+                    raise ConstructionError(f"trace condition tau({name} x) tau(y) = "
+                                            f"tau(x) tau({name} y) fails at ({i + 1},{j + 1})")
             if gamma.col(j).scale(t_a[i]) != alpha.col(j).scale(t_g[i]):
                 raise ConstructionError(
                     f"trace condition tau(a x) g(y) = tau(g x) a(y) fails at ({i + 1},{j + 1})")
 
-    # tau(x)[y, z], moved by the two cyclic reorders to tau(y)[z, x] and tau(z)[x, y]
-    first = BracketTensor(d, 3, {(i,) + t: v.scale(tau[i]) for i in range(d) if tau[i]
-                                 for t, v in l.bracket.dense_items()})
-    bracket = BracketTensor.combine([(1, first), (1, first.permute((2, 0, 1))),
-                                     (1, first.permute((1, 2, 0)))])
+    # tau(x)[y, z] and its two cyclic readings tau(y)[z, x] and tau(z)[x, y]
+    reads = [[(0, 0)], [(1, 0)], [(1, 1)]]
+    bracket = BracketTensor.kron([([BracketTensor.linear(Matrix(1, d, tau.entries)), l.bracket],
+                                   reads[3 - r:] + reads[:3 - r]) for r in range(3)])
     tern = HomNambuAlgebra(d, 3, bracket, (alpha, gamma))
     tern = _verified_flags(tern, expect_skew=True, max_tuples=max_tuples)
     if verify:
@@ -346,12 +315,9 @@ def trace_induced_ternary(l: HomLeibnizAlgebra, gamma: Matrix, tau: Vector,
     if gamma.T @ g != g @ gamma:
         raise ConstructionError("form not symmetric with respect to the second twist")
     m = b.T @ g
-    for i in range(d):
-        for j in range(d):
-            for k in range(d):
-                if tau[i] * m[j, k] != tau[j] * m[i, k]:
-                    raise ConstructionError(
-                        "compatibility tau(x) B(beta y, z) = tau(y) B(beta x, z) fails")
+    if any(tau[i] * m[j, k] != tau[j] * m[i, k]
+           for i in range(d) for j in range(d) for k in range(d)):
+        raise ConstructionError("compatibility tau(x) B(beta y, z) = tau(y) B(beta x, z) fails")
     struct = QuadraticStructure(tern, form, beta=beta)
     if verify:
         _require(check_quadratic(struct, max_tuples), "trace-induced quadratic structure")

@@ -4,15 +4,14 @@ ternary quadratic bracket, with an optional involution twisting both.
 Everything is built from the bracket's nonzero entries.  Exchanging the
 first slot of the bracket C with its output (``swap_output``) gives the
 coadjoint action D, and phi is D with the inverse Gram matrix on its output.
-The ternary bracket, the tensor Leibniz bracket and both sides of phi's
-equivariance are then substitutions of phi into C and D.
+The ternary bracket and both sides of phi's equivariance are substitutions of
+phi into C and D; the tensor Leibniz bracket is a ``kron`` of two of them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .algebra import (BilinearForm, BracketTensor, HomLeibnizAlgebra,
                       HomNambuAlgebra, QuadraticStructure)
@@ -72,24 +71,11 @@ def tensor_leibniz(g: QuadraticLieAlgebra, verify: bool = True,
     element e_k (x) e^l has index k * d + l."""
     d = g.dim
     D, phi = _actions(g)
-    items: Dict[Tuple[int, int], List[Fraction]] = {}
-
-    def add(key: Tuple[int, int], r: int, c: Fraction) -> None:
-        items.setdefault(key, [Fraction(0)] * (d * d))[r] += c
-
-    # [phi(e_i (x) e^j), e_k] (x) e^l
-    for (i, j, k), v in g.algebra.bracket.substitute(0, phi).coeffs.items():
-        for m, c in enumerate(v.entries):
-            if c:
-                for l in range(d):
-                    add((i * d + j, k * d + l), m * d + l, c)
-    # e_k (x) (phi(e_i (x) e^j) . e^l)
-    for (i, j, l), v in D.substitute(0, phi).coeffs.items():
-        for m, c in enumerate(v.entries):
-            if c:
-                for k in range(d):
-                    add((i * d + j, k * d + l), k * d + m, c)
-    bracket = BracketTensor(d * d, 2, {key: Vector(row) for key, row in items.items()})
+    ident = BracketTensor.linear(Matrix.identity(d))
+    # [phi(e_i (x) e^j), e_k] (x) e^l  +  e_k (x) (phi(e_i (x) e^j) . e^l)
+    bracket = BracketTensor.kron([
+        ([g.algebra.bracket.substitute(0, phi), ident], [[(0, 0), (0, 1)], [(0, 2), (1, 0)]]),
+        ([ident, D.substitute(0, phi)], [[(1, 0), (1, 1)], [(0, 0), (1, 2)]])])
     out = HomLeibnizAlgebra(d * d, bracket, Matrix.identity(d * d))
     if verify:
         _require(check_hom_leibniz(out, max_tuples), "tensor Leibniz algebra")
@@ -120,10 +106,9 @@ def omega_twist_leibniz(g: QuadraticLieAlgebra, alpha: Matrix,
     bracket = base.bracket.transform([None, None], out_map=omega)
     out = HomLeibnizAlgebra(d * d, bracket, omega)
     # pairing <x (x) f, y (x) h> twisted by Omega in the first slot
-    gram = Matrix.from_rows(
+    form = BilinearForm(d * d, Matrix.from_rows(
         [[alpha[l, i] * alpha[j, k] for k in range(d) for l in range(d)]
-         for i in range(d) for j in range(d)])
-    form = BilinearForm(d * d, gram)
+         for i in range(d) for j in range(d)]))
     if verify:
         _require(check_hom_leibniz(out, max_tuples), "twisted tensor Leibniz algebra")
         _require(check_multiplicativity(out.as_nambu(), max_tuples),

@@ -23,6 +23,11 @@ from .spaces import SubspaceBasis
 
 SCHEMA_VERSION = 1
 
+# the fields of each kind beyond those every kind has; any other field fails the load
+COMMON_FIELDS = {"schema_version", "kind", "metadata", "dim", "arity", "bracket", "twists"}
+OPTIONAL_FIELDS = {"hom_nambu": {"flags", "form", "beta"}, "quadratic_lie": {"flags", "form"},
+                   "hom_leibniz": set(), "hom_assoc": set()}
+
 AlgebraLike = Union[HomNambuAlgebra, HomLeibnizAlgebra, HomAssocNAry,
                     QuadraticStructure, QuadraticLieAlgebra]
 
@@ -37,6 +42,12 @@ class FlagVerificationError(ValueError):
     def __init__(self, message: str, report: Optional[CheckReport] = None):
         super().__init__(message)
         self.report = report
+
+
+def _require_version(doc: dict) -> None:
+    version = doc.get("schema_version")
+    if not (_is_int(version) and version == SCHEMA_VERSION):
+        raise FileFormatError("missing or unsupported schema_version")
 
 
 def _vec_json(v: Vector) -> List[str]:
@@ -103,40 +114,38 @@ def _bracket_from(data, dim: int, arity: int, vdim: int) -> Dict[Tuple[int, ...]
     return items
 
 
+def kind_of(obj: AlgebraLike) -> str:
+    """The document kind of a loaded object, read off its type."""
+    inner = obj.algebra if isinstance(obj, QuadraticStructure) else obj
+    for cls, kind in ((QuadraticLieAlgebra, "quadratic_lie"), (HomNambuAlgebra, "hom_nambu"),
+                      (HomLeibnizAlgebra, "hom_leibniz"), (HomAssocNAry, "hom_assoc")):
+        if isinstance(inner, cls):
+            return kind
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
 def to_document(obj: AlgebraLike, name: Optional[str] = None,
                 provenance: Optional[str] = None) -> dict:
+    kind = kind_of(obj)
     form = beta = None
-    kind = None
     if isinstance(obj, QuadraticStructure):
         form, beta, obj = obj.form, obj.beta, obj.algebra
     elif isinstance(obj, QuadraticLieAlgebra):
         form, obj = obj.form, obj.algebra
-        kind = "quadratic_lie"
+    flags, arity = {}, 2
     if isinstance(obj, HomNambuAlgebra):
-        kind = kind or "hom_nambu"
-        bracket, twists = obj.bracket, obj.twists
+        bracket, twists, arity = obj.bracket, obj.twists, obj.arity
         flags = {"skew": obj.skew, "multiplicative": obj.multiplicative}
-        arity = obj.arity
     elif isinstance(obj, HomLeibnizAlgebra):
-        kind, bracket, twists = "hom_leibniz", obj.bracket, (obj.twist,)
-        flags, arity = {}, 2
-    elif isinstance(obj, HomAssocNAry):
-        kind, bracket, twists = "hom_assoc", obj.mu, obj.twists
-        flags, arity = {}, obj.arity
+        bracket, twists = obj.bracket, (obj.twist,)
     else:
-        raise TypeError(f"cannot serialize {type(obj).__name__}")
+        bracket, twists, arity = obj.mu, obj.twists, obj.arity
     doc = {"schema_version": SCHEMA_VERSION, "kind": kind}
-    meta = {}
-    if name:
-        meta["name"] = name
-    if provenance:
-        meta["provenance"] = provenance
+    meta = {k: v for k, v in (("name", name), ("provenance", provenance)) if v}
     if meta:
         doc["metadata"] = meta
-    doc["dim"] = obj.dim
-    doc["arity"] = arity
-    doc["bracket"] = _bracket_json(bracket, flags.get("skew", False))
-    doc["twists"] = [_mat_json(t) for t in twists]
+    doc.update(dim=obj.dim, arity=arity, bracket=_bracket_json(bracket, flags.get("skew", False)),
+               twists=[_mat_json(t) for t in twists])
     if flags:
         doc["flags"] = flags
     if form is not None:
@@ -166,12 +175,15 @@ def _decode(doc: dict, verify: bool, max_tuples: Optional[int],
     runs are put in ``reports`` by identity."""
     if not isinstance(doc, dict):
         raise FileFormatError("top level must be a JSON object")
-    version = doc.get("schema_version")
-    if not (_is_int(version) and version == SCHEMA_VERSION):
-        raise FileFormatError("missing or unsupported schema_version")
+    _require_version(doc)
     kind = doc.get("kind")
-    if kind not in ("hom_nambu", "hom_leibniz", "hom_assoc", "quadratic_lie"):
+    if not (isinstance(kind, str) and kind in OPTIONAL_FIELDS):
         raise FileFormatError(f"unknown kind {kind!r}")
+    stray = set(doc) - COMMON_FIELDS - OPTIONAL_FIELDS[kind]
+    if stray:
+        raise FileFormatError(f"{kind} takes no {min(stray, key=str)!r} field")
+    if doc.get("beta") is not None and doc.get("form") is None:
+        raise FileFormatError("beta needs a form")
     dim, arity = doc.get("dim"), doc.get("arity")
     if not (_is_int(dim) and dim >= 1):
         raise FileFormatError("dim must be a positive integer")
@@ -185,24 +197,22 @@ def _decode(doc: dict, verify: bool, max_tuples: Optional[int],
     if not isinstance(raw_twists, list) or len(raw_twists) != n_twists:
         raise FileFormatError(f"expected {n_twists} twist matrices")
     twists = tuple(_mat_from(t, dim, dim, "twist") for t in raw_twists)
-    form = beta = None
+    if kind == "hom_leibniz":
+        return HomLeibnizAlgebra(dim, BracketTensor(dim, 2, items), twists[0])
+    if kind == "hom_assoc":
+        return HomAssocNAry(dim, arity, BracketTensor(dim, arity, items), twists)
+    form = None
     if doc.get("form") is not None:
         gram = _mat_from(doc["form"], dim, dim, "form")
         if not gram.is_symmetric():
             raise FileFormatError("form must be a symmetric matrix")
         form = BilinearForm(dim, gram)
-    if doc.get("beta") is not None:
-        beta = _mat_from(doc["beta"], dim, dim, "beta")
-
-    if kind == "hom_leibniz":
-        return HomLeibnizAlgebra(dim, BracketTensor(dim, 2, items), twists[0])
-    if kind == "hom_assoc":
-        return HomAssocNAry(dim, arity, BracketTensor(dim, arity, items), twists)
+    beta = None if doc.get("beta") is None else _mat_from(doc["beta"], dim, dim, "beta")
 
     flags = doc.get("flags", {})
-    if not (isinstance(flags, dict)
+    if not (isinstance(flags, dict) and set(flags) <= {"skew", "multiplicative"}
             and all(isinstance(v, bool) for v in flags.values())):
-        raise FileFormatError("flags must be an object of true/false values")
+        raise FileFormatError("flags must map skew and multiplicative to true/false")
     claim_skew = flags.get("skew", kind == "quadratic_lie")
     claim_mult = flags.get("multiplicative", False)
     if claim_skew:
@@ -304,6 +314,7 @@ def representation_to_document(rep: Representation) -> dict:
 def representation_from_document(doc: dict) -> Representation:
     if not isinstance(doc, dict):
         raise FileFormatError("top level must be a JSON object")
+    _require_version(doc)
     if doc.get("kind") != "representation":
         raise FileFormatError("expected kind 'representation'")
     d, n, m = doc.get("source_dim"), doc.get("arity"), doc.get("target_dim")

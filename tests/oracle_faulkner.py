@@ -5,6 +5,10 @@ the ternary bracket as they were written before they were built on
 and ``Vector.basis``, plus the per-tuple operator loop that tested the first
 factor's form in ``tensor_product``.  Tests compare the library's tensors and
 reports against them.
+
+``tensor_leibniz_entries`` is the entry loop that built the tensor Leibniz
+bracket from phi and the coadjoint action before it became a
+``BracketTensor.kron`` call.
 """
 
 from fractions import Fraction
@@ -15,6 +19,7 @@ from nambucat.algebra import (BilinearForm, BracketTensor, HomLeibnizAlgebra,
                               all_tuples)
 from nambucat.checks import CheckReport, Counterexample
 from nambucat.constructions import ConstructionError
+from nambucat.faulkner import _actions
 from nambucat.linalg import Matrix, Vector, kron, solve_matrix
 
 
@@ -74,6 +79,31 @@ def tensor_leibniz_bracket(g) -> BracketTensor:
                     if any(coeffs):
                         items[(i * d + j, k * d + l)] = Vector(coeffs)
     return BracketTensor(d * d, 2, items)
+
+
+def tensor_leibniz_entries(g) -> BracketTensor:
+    """The Leibniz bracket on g (x) g* read off the entries of [phi(x, f), y]
+    and phi(x, f) . h, each spread over the untouched factor by hand."""
+    d = g.dim
+    D, phi = _actions(g)
+    items: Dict[Tuple[int, int], List[Fraction]] = {}
+
+    def add(key: Tuple[int, int], r: int, c: Fraction) -> None:
+        items.setdefault(key, [Fraction(0)] * (d * d))[r] += c
+
+    # [phi(e_i (x) e^j), e_k] (x) e^l
+    for (i, j, k), v in g.algebra.bracket.substitute(0, phi).coeffs.items():
+        for m, c in enumerate(v.entries):
+            if c:
+                for l in range(d):
+                    add((i * d + j, k * d + l), m * d + l, c)
+    # e_k (x) (phi(e_i (x) e^j) . e^l)
+    for (i, j, l), v in D.substitute(0, phi).coeffs.items():
+        for m, c in enumerate(v.entries):
+            if c:
+                for k in range(d):
+                    add((i * d + j, k * d + l), k * d + m, c)
+    return BracketTensor(d * d, 2, {key: Vector(row) for key, row in items.items()})
 
 
 def omega_twist_bracket(g, alpha: Matrix) -> Tuple[HomLeibnizAlgebra, BilinearForm]:

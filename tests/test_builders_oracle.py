@@ -16,10 +16,10 @@ from hypothesis import strategies as st
 import oracle_constructions as oc
 import oracle_representations as orr
 from conftest import filippov, tensors
-from nambucat import (BilinearForm, BracketTensor, HomLeibnizAlgebra, HomNambuAlgebra,
-                      Matrix, QuadraticStructure, Vector, corpus)
+from nambucat import (BilinearForm, BracketTensor, HomAssocNAry, HomLeibnizAlgebra,
+                      HomNambuAlgebra, Matrix, QuadraticStructure, Vector, corpus)
 from nambucat.checks import _matrix_product, check_representation
-from nambucat.constructions import (induced_hom_leibniz,
+from nambucat.constructions import (induced_hom_leibniz, tensor_product,
                                     trace_induced_ternary, tstar_extension)
 from nambucat.representations import adjoint_rep, coadjoint_rep, rep_isomorphism_psi
 
@@ -139,6 +139,36 @@ def test_induced_leibniz_matches_oracle(name):
     new = induced_hom_leibniz(a, verify=False).bracket
     old = oc.induced_leibniz_bracket(a)
     assert new == old and new.coeffs == old.coeffs
+    assert new.coeffs == oc.induced_leibniz_entries(a).coeffs
+
+
+def test_induced_leibniz_matches_entry_loop_on_a5():
+    """Past the per-tuple loop's reach, against the entry loop it replaced:
+    the 125-dim bracket of A5."""
+    a, _ = _structure("A5")
+    assert induced_hom_leibniz(a, verify=False).bracket.coeffs == \
+        oc.induced_leibniz_entries(a).coeffs
+
+
+ASSOC = corpus.load("dualnumbers3")
+
+
+@pytest.mark.parametrize("name", [n for n in NAMBU if _structure(n)[0].arity == 3])
+def test_tensor_product_matches_oracle(name):
+    a, _ = _structure(name)
+    new = tensor_product(ASSOC, a, verify=False).bracket
+    assert new == oc.tensor_product_bracket(ASSOC, a)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_tensor_product_matches_oracle_on_random_factors(data):
+    """Random products and brackets, skew or dense, arity 2 or 3."""
+    n, dh, dn = (data.draw(st.integers(lo, hi)) for lo, hi in ((2, 3), (1, 2), (1, 3)))
+    h = HomAssocNAry(dh, n, data.draw(tensors(dh, n, dh)), (Matrix.identity(dh),) * (n - 1))
+    a = HomNambuAlgebra(dn, n, data.draw(tensors(dn, n, dn)), (Matrix.identity(dn),) * (n - 1))
+    new = tensor_product(h, a, verify=False).bracket
+    assert new == oc.tensor_product_bracket(h, a)
 
 
 TAUS = [[1, 0, 0], [0, F(1, 2), -2], [1, 1, 1]]
@@ -195,7 +225,9 @@ def test_perturbed_representations_match_oracle(case):
 def test_perturbed_induced_leibniz_matches_oracle(case):
     _, b, _ = case
     m = replace(b, multiplicative=True, twists=(b.twists[0],) * (b.arity - 1))
-    assert induced_hom_leibniz(m, verify=False).bracket == oc.induced_leibniz_bracket(m)
+    new = induced_hom_leibniz(m, verify=False).bracket
+    assert new == oc.induced_leibniz_bracket(m)
+    assert new.coeffs == oc.induced_leibniz_entries(m).coeffs
 
 
 SKEW_BASES = ("simple3lie4", "sl2", "heisenberg3", "A4")

@@ -130,7 +130,9 @@ def test_phi_and_coadjoint_match_oracle(g):
 
 @pytest.mark.parametrize("g", ALGEBRAS, ids=IDS)
 def test_builders_and_equivariance_match_oracle(g):
-    assert tensor_leibniz(g, verify=False).bracket == of.tensor_leibniz_bracket(g)
+    new = tensor_leibniz(g, verify=False).bracket
+    assert new == of.tensor_leibniz_bracket(g)
+    assert new.coeffs == of.tensor_leibniz_entries(g).coeffs
     assert check_phi_equivariance(g).to_json() == of.check_phi_equivariance(g).to_json()
     try:
         want = of.ternary_bracket(g)

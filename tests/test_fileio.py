@@ -91,17 +91,48 @@ def test_verify_false_skips_flag_checks():
     assert obj.algebra.multiplicative is True  # taken on faith, as requested
 
 
+def _drop(d, key):
+    return {k: v for k, v in d.items() if k != key}
+
+
+def _doc(name):
+    """A corpus document, or ``leibniz``: sl2's bracket as a hom_leibniz one."""
+    if name == "leibniz":
+        sl2 = corpus.load("sl2")
+        return fileio.to_document(HomLeibnizAlgebra(3, sl2.algebra.bracket, Matrix.identity(3)))
+    return fileio.load_document(_path(name))
+
+
+IDENTITY3 = [["1" if i == j else "0" for j in range(3)] for i in range(3)]
+
+
+# each case maps zero2's document to a malformed one; the cases after the
+# first six are fields that the document's kind does not read, each of which
+# used to load and be dropped without a word (a misspelled form dropped the
+# quadratic check from verify)
 @pytest.mark.parametrize("mutate,match", [
-    (lambda d: d.pop("schema_version"), "schema_version"),
-    (lambda d: d.update(schema_version=99), "schema_version"),
-    (lambda d: d.update(kind="nonsense"), "kind"),
-    (lambda d: d.update(dim=0), "dim"),
-    (lambda d: d.update(arity=1), "arity"),
-    (lambda d: d.pop("twists"), "twists"),
+    (lambda d: _drop(d, "schema_version"), "schema_version"),
+    (lambda d: dict(d, schema_version=99), "schema_version"),
+    (lambda d: dict(d, kind="nonsense"), "kind"),
+    (lambda d: dict(d, dim=0), "dim"),
+    (lambda d: dict(d, arity=1), "arity"),
+    (lambda d: _drop(d, "twists"), "twists"),
+    (lambda d: _drop(_doc("example1"), "form"), "beta without form"),
+    (lambda d: dict(_doc("sl2"), beta=IDENTITY3), "beta on quadratic_lie"),
+    (lambda d: dict(_doc("leibniz"), form=IDENTITY3), "form on hom_leibniz"),
+    (lambda d: dict(_doc("leibniz"), beta=IDENTITY3), "beta on hom_leibniz"),
+    (lambda d: dict(_doc("leibniz"), flags={"skew": "yes"}), "flags on hom_leibniz"),
+    (lambda d: dict(_doc("dualnumbers3"), form=[["1", "0"], ["0", "1"]]), "form on hom_assoc"),
+    (lambda d: dict(_doc("dualnumbers3"), beta=[["1", "0"], ["0", "1"]]), "beta on hom_assoc"),
+    (lambda d: dict(_doc("dualnumbers3"), flags={}), "flags on hom_assoc"),
+    (lambda d: dict(_doc("simple3lie4"), flags={"Skew": True}), "unknown flag"),
+    (lambda d: dict(d, flags={"skew": True, "multiplicative": True, "quadratic": True}),
+     "unknown flag beside known ones"),
+    (lambda d: {("Form" if k == "form" else k): v for k, v in _doc("simple3lie4").items()},
+     "misspelled field"),
 ])
 def test_malformed_documents(mutate, match):
-    doc = fileio.load_document(_path("zero2"))
-    mutate(doc)
+    doc = mutate(fileio.load_document(_path("zero2")))
     with pytest.raises(FileFormatError):
         fileio.from_document(doc)
 
@@ -192,10 +223,6 @@ def test_representation_document_kind(s4):
         fileio.representation_from_document(doc)
 
 
-def _drop(d, key):
-    return {k: v for k, v in d.items() if k != key}
-
-
 @pytest.mark.parametrize("mutate", [
     lambda d: _drop(d, "nu"),
     lambda d: dict(d, rho=[_drop(d["rho"][0], "inputs")] + d["rho"][1:]),
@@ -204,6 +231,8 @@ def _drop(d, key):
     lambda d: [d],                                      # a list, not an object
     lambda d: _drop(d, "rho"),
     lambda d: dict(d, rho=d["rho"] + [dict(d["rho"][0], matrix=d["rho"][1]["matrix"])]),
+    lambda d: dict(d, schema_version=99),
+    lambda d: _drop(d, "schema_version"),
 ])
 def test_malformed_representation_fails_closed(s4, mutate):
     from nambucat.representations import adjoint_rep
