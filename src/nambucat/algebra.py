@@ -79,7 +79,7 @@ class BracketTensor:
                 raise ValueError("coefficient vector has wrong length")
             if skew_storage and any(a >= b for a, b in zip(idx, idx[1:])):
                 raise ValueError(f"skew storage requires strictly increasing tuples, got {idx}")
-            if not vec.is_zero():
+            if any(vec.entries):
                 clean[idx] = vec
         self.coeffs = clean
         self._dense = None
@@ -244,7 +244,7 @@ class BracketTensor:
             items = [(key, row) for key, row in acc.items() if any(row)]
             pos += inner.arity
         return BracketTensor(dims.pop() if dims else self.dim, pos,
-                             {key: Vector(row) for key, row in items}, vdim=self.vdim)
+                             {key: Vector.trusted(row) for key, row in items}, vdim=self.vdim)
 
     def permute(self, order: Sequence[int]) -> "BracketTensor":
         """The tensor with its slots reordered: the entry at key t moves to
@@ -272,7 +272,7 @@ class BracketTensor:
                     key = t[:slot] + (r,) + t[slot + 1:]
                     acc.setdefault(key, [Fraction(0)] * self.dim)[t[slot]] = c
         return BracketTensor(self.dim, self.arity,
-                             {key: Vector(row) for key, row in acc.items()})
+                             {key: Vector.trusted(row) for key, row in acc.items()})
 
     @classmethod
     def combine(cls, terms: Sequence[Tuple[int, "BracketTensor"]]) -> "BracketTensor":
@@ -286,7 +286,8 @@ class BracketTensor:
             for key, vec in tensor.dense_items():
                 add_scaled(acc, key, c, vec.entries)
         dim, arity, vdim = shapes.pop()
-        return cls(dim, arity, {key: Vector(row) for key, row in acc.items()}, vdim=vdim)
+        return cls(dim, arity, {key: Vector.trusted(row) for key, row in acc.items()},
+                   vdim=vdim)
 
     @classmethod
     def kron(cls, terms: Sequence[Tuple[Sequence["BracketTensor"],
@@ -326,7 +327,8 @@ class BracketTensor:
         if not shapes:
             raise ValueError("kron needs one or more terms")
         dim, arity, vdim = shapes.pop()
-        return cls(dim, arity, {key: Vector(row) for key, row in acc.items()}, vdim=vdim)
+        return cls(dim, arity, {key: Vector.trusted(row) for key, row in acc.items()},
+                   vdim=vdim)
 
     def transform(self, slot_maps: Sequence[Optional[Matrix]],
                   out_map: Optional[Matrix] = None) -> "BracketTensor":
@@ -371,7 +373,7 @@ class BracketTensor:
         for key, vec in self.coeffs.items():
             for cols, c in _row_minors(m, key).items():
                 add_scaled(acc, cols, c, vec.entries)
-        return {key: Vector(v) for key, v in acc.items()}
+        return {key: Vector.trusted(v) for key, v in acc.items()}
 
     def skew_canonical(self) -> "BracketTensor":
         """Re-store a (verified skew) tensor with increasing-tuple storage."""

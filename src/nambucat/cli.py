@@ -2,7 +2,9 @@
 
 Exit codes: 0 all checks passed, 1 mathematical failure (failed identity,
 failed construction hypothesis, false flag claim) or an exceeded tuple
-budget, 2 usage or parse error.  All output is deterministic.
+budget, 2 usage or parse error, or a file that cannot be read or written
+(an unreadable input is a ``FileFormatError``, an unwritable output an
+``OSError``).  All output is deterministic.
 
 The identities that ``verify`` and ``report`` check are one table,
 ``CHECKS``: each selector names the identity of its report, by which a check
@@ -376,7 +378,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         # looked up at call time, so a replaced cmd_* function is the one run
         return globals()[f"cmd_{args.command}"](args)
-    except (UsageError, FileFormatError, FileNotFoundError) as e:
+    except (UsageError, FileFormatError, OSError) as e:
         sys.stderr.write(f"error: {e}\n")
         return 2
     except (FlagVerificationError, ConstructionError) as e:

@@ -7,6 +7,12 @@ arrive as integers, such as the equations ``spaces`` assembles, need no
 ``Fraction`` work; rational rows are first scaled to integers.  Solution-space
 bases are returned in reduced echelon normal form, which makes them
 canonical: two calls on equal matrices return identical bases.
+
+The public ``Vector(...)`` and ``Matrix(...)`` coerce every entry through
+``frac``, since they take caller input.  Values the engine already holds as
+Fractions (decoded files, elimination results, products and the kernels'
+row tables) are wrapped by ``Vector.trusted`` and ``Matrix.trusted``, which
+take the entries as they are.
 """
 
 from __future__ import annotations
@@ -18,11 +24,12 @@ from typing import Iterable, Optional, Sequence, Union
 
 Rational = Union[Fraction, int, str]
 
-_FRAC_RE = re.compile(r"[+-]?\d+(/\d+)?")
+_FRAC_RE = re.compile(r"([+-]?\d+)(?:/(\d+))?")
 
 
 def frac(x: Rational) -> Fraction:
-    """Coerce an int, Fraction or "p/q" string to an exact Fraction."""
+    """Coerce an int, Fraction or "p/q" string to an exact Fraction.  A
+    string is checked by one regex and built from its match's integer parts."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, bool):
@@ -30,9 +37,11 @@ def frac(x: Rational) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
-        if not _FRAC_RE.fullmatch(x.strip()):
+        m = _FRAC_RE.fullmatch(x.strip())
+        if not m:
             raise ValueError(f"not a 'p' or 'p/q' rational string: {x!r}")
-        return Fraction(x)
+        p, q = m.groups()
+        return Fraction(int(p)) if q is None else Fraction(int(p), int(q))
     raise TypeError(f"not a rational scalar: {x!r}")
 
 
@@ -48,6 +57,14 @@ class Vector:
 
     def __init__(self, entries: Iterable[Rational]):
         self.entries = tuple(frac(e) for e in entries)
+
+    @classmethod
+    def trusted(cls, entries: Iterable[Fraction]) -> "Vector":
+        """A vector of entries that already are Fractions, taken without
+        coercion: for values the engine holds, never for caller input."""
+        v = object.__new__(cls)
+        v.entries = tuple(entries)
+        return v
 
     @classmethod
     def zero(cls, dim: int) -> "Vector":
@@ -123,6 +140,16 @@ class Matrix:
             raise ValueError("entries length does not match rows*cols")
 
     @classmethod
+    def trusted(cls, rows: int, cols: int, entries: Iterable[Fraction]) -> "Matrix":
+        """A matrix of entries that already are Fractions, taken without
+        coercion: for values the engine holds, never for caller input."""
+        m = object.__new__(cls)
+        m.rows, m.cols, m.entries = rows, cols, tuple(entries)
+        if len(m.entries) != rows * cols:
+            raise ValueError("entries length does not match rows*cols")
+        return m
+
+    @classmethod
     def from_rows(cls, rows: Sequence[Sequence[Rational]]) -> "Matrix":
         r = len(rows)
         c = len(rows[0]) if r else 0
@@ -155,10 +182,10 @@ class Matrix:
         return self.entries[i * self.cols + j]
 
     def row(self, i: int) -> Vector:
-        return Vector(self.entries[i * self.cols:(i + 1) * self.cols])
+        return Vector.trusted(self.entries[i * self.cols:(i + 1) * self.cols])
 
     def col(self, j: int) -> Vector:
-        return Vector(self.entries[i * self.cols + j] for i in range(self.rows))
+        return Vector.trusted(self.entries[i * self.cols + j] for i in range(self.rows))
 
     def row_list(self) -> list:
         return [list(self.entries[i * self.cols:(i + 1) * self.cols]) for i in range(self.rows)]
@@ -173,7 +200,7 @@ class Matrix:
             raise ValueError("dimension mismatch")
         e = self.entries
         c = self.cols
-        return Vector(
+        return Vector.trusted(
             sum((e[i * c + j] * v.entries[j] for j in range(c) if v.entries[j]), Fraction(0))
             for i in range(self.rows)
         )
@@ -187,7 +214,7 @@ class Matrix:
             for j in range(other.cols):
                 out.append(sum((ri[k] * other.entries[k * other.cols + j]
                                 for k in range(self.cols) if ri[k]), Fraction(0)))
-        return Matrix(self.rows, other.cols, out)
+        return Matrix.trusted(self.rows, other.cols, out)
 
     def __add__(self, other: "Matrix") -> "Matrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -209,9 +236,9 @@ class Matrix:
         return Matrix(self.rows, self.cols, (c * a for a in self.entries))
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.cols, self.rows,
-                      (self.entries[i * self.cols + j]
-                       for j in range(self.cols) for i in range(self.rows)))
+        return Matrix.trusted(self.cols, self.rows,
+                              (self.entries[i * self.cols + j]
+                               for j in range(self.cols) for i in range(self.rows)))
 
     @property
     def T(self) -> "Matrix":
@@ -236,7 +263,7 @@ class Matrix:
             self[i, j] == self[j, i] for i in range(self.rows) for j in range(i))
 
     def flatten(self) -> Vector:
-        return Vector(self.entries)
+        return Vector.trusted(self.entries)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Matrix) and self.rows == other.rows
@@ -401,7 +428,7 @@ def nullspace(m) -> list:
             if f != p:
                 basis[f][p] = Fraction(-x, row[p])
     # canonicalize representatives: echelon-reduce the basis itself
-    return [Vector(v) for v in _reduced_rows(_echelon(basis.values(), n), n)]
+    return [Vector.trusted(v) for v in _reduced_rows(_echelon(basis.values(), n), n)]
 
 
 def det(m: Matrix) -> Fraction:

@@ -131,7 +131,7 @@ def _assemble(d: int, width: int, lhs: Optional[BracketTensor],
 
 def _matrix_nullspace_basis(rows: List[dict], d: int) -> SubspaceBasis:
     sols = nullspace(SparseMatrix(d * d, rows))
-    return SubspaceBasis("matrix", d, tuple(Matrix(d, d, v.entries) for v in sols))
+    return SubspaceBasis("matrix", d, tuple(Matrix.trusted(d, d, v.entries) for v in sols))
 
 
 def compute_centroid(a: HomNambuAlgebra, k: int) -> SubspaceBasis:

@@ -2,6 +2,7 @@
 
 import collections
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -494,6 +495,54 @@ def test_no_args_usage(capsys):
 def test_unknown_command(capsys):
     code, _, err = run(capsys)
     assert code == 2
+
+
+# ---------------------------------------------------------------- unreadable paths
+
+def _open_error(path, mode="r") -> str:
+    """The message of the OSError that opening ``path`` raises."""
+    with pytest.raises(OSError) as e:
+        open(path, mode)
+    return str(e.value)
+
+
+UTF8_ERROR = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+
+
+@pytest.fixture
+def unreadable(tmp_path):
+    """A directory, a missing file and a file that is not UTF-8 text, each
+    with the message it must fail with."""
+    missing, bom = tmp_path / "missing.json", tmp_path / "bom.json"
+    bom.write_bytes(b"\xff\xfe")
+    return [(str(tmp_path), _open_error(tmp_path)), (str(missing), _open_error(missing)),
+            (str(bom), UTF8_ERROR)]
+
+
+# None stands for the input path
+@pytest.mark.parametrize("argv", [("verify", None), ("solve", None, "centroid"),
+                                  ("construct", "self-twist", None, "-o", os.devnull)])
+def test_unreadable_input_is_a_file_error(capsys, unreadable, argv):
+    """A directory or a non-UTF-8 file fails like a missing one: exit 2 and
+    the error's own message, no traceback."""
+    for path, message in unreadable:
+        code, out, err = run(capsys, *(path if a is None else a for a in argv))
+        assert (code, out, err) == (2, "", f"error: {message}\n"), path
+
+
+def test_unwritable_output_exits_2(capsys, tmp_path):
+    code, out, err = run(capsys, "construct", "self-twist", cp("example1"), "-o", str(tmp_path))
+    assert (code, out, err) == (2, "", f"error: {_open_error(tmp_path, 'w')}\n")
+
+
+def test_report_gives_an_unreadable_file_its_own_row(capsys, unreadable):
+    code, out, err = run(capsys, "report", *(path for path, _ in unreadable), cp("sl2"))
+    assert (code, err) == (1, "")
+    rows = [line.split() for line in out.splitlines()]
+    assert len(rows) == 2 + len(unreadable)
+    for row, (path, message) in zip(rows[1:], unreadable):
+        assert row[:2] == [path, "error"] and " ".join(row[4:-3]) == message
+    assert rows[-1][:5] == [cp("sl2"), "quadratic_lie", "3", "2", "pass"]
 
 
 # ---------------------------------------------------------------- parser reuse
