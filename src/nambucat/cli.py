@@ -245,6 +245,9 @@ def cmd_construct(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    if args.space in ("centroid", "derivations") and args.k < -1:
+        raise UsageError(f"twist power k must be >= -1 (alpha^-1 = 0, alpha^0 = id), "
+                         f"got {args.k}")
     obj = fileio.load(args.file, max_tuples=args.max_tuples)
     a = _as_nambu(_unwrap(obj)[0], "solve")
     if args.space == "centroid":
@@ -303,11 +306,20 @@ class UsageError(Exception):
     pass
 
 
+class _NonNegative(argparse.Action):
+    """Stores an int option; a negative value is a usage error (exit 2)."""
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        if value < 0:
+            raise argparse.ArgumentError(self, f"N must be >= 0, got {value}")
+        setattr(namespace, self.dest, value)
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "text"),
                         default=argparse.SUPPRESS, help="report output format")
-    common.add_argument("--max-tuples", type=int, metavar="N",
+    common.add_argument("--max-tuples", type=int, metavar="N", action=_NonNegative,
                         default=argparse.SUPPRESS,
                         help="abort any single check needing more than N basis tuples")
     parser = argparse.ArgumentParser(

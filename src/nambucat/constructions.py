@@ -191,8 +191,8 @@ def induced_hom_leibniz(a: HomNambuAlgebra,
 def _blocks(top: Tuple[Matrix, Matrix], bottom: Tuple[Matrix, Matrix]) -> Matrix:
     """The 2 x 2 block matrix with rows of d x d blocks ``top`` and ``bottom``."""
     d = top[0].rows
-    return Matrix.from_rows([[m[i, j] for m in half for j in range(d)]
-                             for half in (top, bottom) for i in range(d)])
+    return Matrix.trusted(2 * d, 2 * d, [m[i, j] for half in (top, bottom) for i in range(d)
+                                         for m in half for j in range(d)])
 
 
 @dataclass(frozen=True)
@@ -234,7 +234,7 @@ def tstar_extension(a: HomNambuAlgebra, form: BilinearForm,
         for j, x in enumerate(v.entries):
             if x:
                 rows.setdefault(rest + (d + j,), [Fraction(0)] * (2 * d))[d + m] = -x
-    bracket = BracketTensor(2 * d, n, {t: Vector(row) for t, row in rows.items()},
+    bracket = BracketTensor(2 * d, n, {t: Vector.trusted(row) for t, row in rows.items()},
                             skew_storage=True)
 
     zero = Matrix.zero(d, d)
@@ -299,8 +299,9 @@ def trace_induced_ternary(l: HomLeibnizAlgebra, gamma: Matrix, tau: Vector,
 
     # tau(x)[y, z] and its two cyclic readings tau(y)[z, x] and tau(z)[x, y]
     reads = [[(0, 0)], [(1, 0)], [(1, 1)]]
-    bracket = BracketTensor.kron([([BracketTensor.linear(Matrix(1, d, tau.entries)), l.bracket],
-                                   reads[3 - r:] + reads[:3 - r]) for r in range(3)])
+    tau_map = BracketTensor.linear(Matrix.trusted(1, d, tau.entries))
+    bracket = BracketTensor.kron([([tau_map, l.bracket], reads[3 - r:] + reads[:3 - r])
+                                  for r in range(3)])
     tern = HomNambuAlgebra(d, 3, bracket, (alpha, gamma))
     tern = _verified_flags(tern, expect_skew=True, max_tuples=max_tuples)
     if verify:

@@ -106,9 +106,9 @@ def omega_twist_leibniz(g: QuadraticLieAlgebra, alpha: Matrix,
     bracket = base.bracket.transform([None, None], out_map=omega)
     out = HomLeibnizAlgebra(d * d, bracket, omega)
     # pairing <x (x) f, y (x) h> twisted by Omega in the first slot
-    form = BilinearForm(d * d, Matrix.from_rows(
-        [[alpha[l, i] * alpha[j, k] for k in range(d) for l in range(d)]
-         for i in range(d) for j in range(d)]))
+    form = BilinearForm(d * d, Matrix.trusted(
+        d * d, d * d, [alpha[l, i] * alpha[j, k] for i in range(d) for j in range(d)
+                       for k in range(d) for l in range(d)]))
     if verify:
         _require(check_hom_leibniz(out, max_tuples), "twisted tensor Leibniz algebra")
         _require(check_multiplicativity(out.as_nambu(), max_tuples),

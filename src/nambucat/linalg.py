@@ -8,11 +8,15 @@ arrive as integers, such as the equations ``spaces`` assembles, need no
 bases are returned in reduced echelon normal form, which makes them
 canonical: two calls on equal matrices return identical bases.
 
-The public ``Vector(...)`` and ``Matrix(...)`` coerce every entry through
-``frac``, since they take caller input.  Values the engine already holds as
-Fractions (decoded files, elimination results, products and the kernels'
-row tables) are wrapped by ``Vector.trusted`` and ``Matrix.trusted``, which
-take the entries as they are.
+Only the public constructors coerce: ``Vector(...)``, ``Matrix(...)``,
+``Matrix.from_rows``, ``from_columns`` and ``diagonal`` run every entry through
+``frac``, since they take caller input.  Every arithmetic result (sums,
+differences, negations, scalings, products, Kronecker products, transposes,
+zeros, identities and basis vectors) and every value the engine already holds
+as Fractions (decoded files, elimination results and the kernels' row tables)
+is wrapped by ``Vector.trusted`` or ``Matrix.trusted``, which take the
+entries as they are: a sum or product of Fractions is a Fraction.  ``scale``
+still coerces its scalar.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from typing import Iterable, Optional, Sequence, Union
 Rational = Union[Fraction, int, str]
 
 _FRAC_RE = re.compile(r"([+-]?\d+)(?:/(\d+))?")
+_ZERO, _ONE = Fraction(0), Fraction(1)       # shared: Fractions are immutable
 
 
 def frac(x: Rational) -> Fraction:
@@ -68,11 +73,11 @@ class Vector:
 
     @classmethod
     def zero(cls, dim: int) -> "Vector":
-        return cls([0] * dim)
+        return cls.trusted((_ZERO,) * dim)
 
     @classmethod
     def basis(cls, dim: int, i: int) -> "Vector":
-        return cls([1 if j == i else 0 for j in range(dim)])
+        return cls.trusted(_ONE if j == i else _ZERO for j in range(dim))
 
     @property
     def dim(self) -> int:
@@ -90,19 +95,19 @@ class Vector:
     def __add__(self, other: "Vector") -> "Vector":
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
-        return Vector(a + b for a, b in zip(self.entries, other.entries))
+        return Vector.trusted(a + b for a, b in zip(self.entries, other.entries))
 
     def __sub__(self, other: "Vector") -> "Vector":
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
-        return Vector(a - b for a, b in zip(self.entries, other.entries))
+        return Vector.trusted(a - b for a, b in zip(self.entries, other.entries))
 
     def __neg__(self) -> "Vector":
-        return Vector(-a for a in self.entries)
+        return Vector.trusted(-a for a in self.entries)
 
     def scale(self, c: Rational) -> "Vector":
         c = frac(c)
-        return Vector(c * a for a in self.entries)
+        return Vector.trusted(c * a for a in self.entries)
 
     def dot(self, other: "Vector") -> Fraction:
         if self.dim != other.dim:
@@ -124,7 +129,7 @@ class Vector:
 
 def kron_vec(a: Vector, b: Vector) -> Vector:
     """Kronecker (tensor) product of two coordinate vectors."""
-    return Vector([x * y for x in a.entries for y in b.entries])
+    return Vector.trusted(x * y for x in a.entries for y in b.entries)
 
 
 class Matrix:
@@ -159,11 +164,11 @@ class Matrix:
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls(n, n, [1 if i == j else 0 for i in range(n) for j in range(n)])
+        return cls.trusted(n, n, (_ONE if i == j else _ZERO for i in range(n) for j in range(n)))
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "Matrix":
-        return cls(rows, cols, [0] * (rows * cols))
+        return cls.trusted(rows, cols, (_ZERO,) * (rows * cols))
 
     @classmethod
     def diagonal(cls, diag: Sequence[Rational]) -> "Matrix":
@@ -219,21 +224,21 @@ class Matrix:
     def __add__(self, other: "Matrix") -> "Matrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
-        return Matrix(self.rows, self.cols,
-                      (a + b for a, b in zip(self.entries, other.entries)))
+        return Matrix.trusted(self.rows, self.cols,
+                              (a + b for a, b in zip(self.entries, other.entries)))
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
-        return Matrix(self.rows, self.cols,
-                      (a - b for a, b in zip(self.entries, other.entries)))
+        return Matrix.trusted(self.rows, self.cols,
+                              (a - b for a, b in zip(self.entries, other.entries)))
 
     def __neg__(self) -> "Matrix":
-        return Matrix(self.rows, self.cols, (-a for a in self.entries))
+        return Matrix.trusted(self.rows, self.cols, (-a for a in self.entries))
 
     def scale(self, c: Rational) -> "Matrix":
         c = frac(c)
-        return Matrix(self.rows, self.cols, (c * a for a in self.entries))
+        return Matrix.trusted(self.rows, self.cols, (c * a for a in self.entries))
 
     def transpose(self) -> "Matrix":
         return Matrix.trusted(self.cols, self.rows,
@@ -288,7 +293,7 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
                 aij = a[i, j]
                 for l in range(b.cols):
                     out.append(aij * b[k, l])
-    return Matrix(a.rows * b.rows, a.cols * b.cols, out)
+    return Matrix.trusted(a.rows * b.rows, a.cols * b.cols, out)
 
 
 class SparseMatrix:
@@ -402,7 +407,7 @@ def _rref(rows: list) -> tuple:
 def rref(m: Matrix) -> tuple:
     """Reduced row echelon form of m; returns (Matrix, pivot columns)."""
     rows, pivots = _rref(m.row_list())
-    return Matrix.from_rows(rows) if rows else m, pivots
+    return Matrix.trusted(m.rows, m.cols, [x for row in rows for x in row]), pivots
 
 
 def rank(m: Matrix) -> int:
@@ -460,7 +465,7 @@ def solve(m: Matrix, b: Vector) -> Optional[Vector]:
     """One exact solution of m x = b, or None if the system is inconsistent."""
     if b.dim != m.rows:
         raise ValueError("dimension mismatch")
-    x = solve_matrix(m, Matrix(b.dim, 1, b.entries))
+    x = solve_matrix(m, Matrix.trusted(b.dim, 1, b.entries))
     return None if x is None else x.col(0)
 
 
@@ -478,12 +483,12 @@ def solve_matrix(m: Matrix, rhs: Matrix) -> Optional[Matrix]:
     x = [[Fraction(0)] * k for _ in range(n)]
     for row, p in zip(rows, pivots):
         x[p] = row[n:]
-    return Matrix(n, k, [v for row in x for v in row])
+    return Matrix.trusted(n, k, [v for row in x for v in row])
 
 
 def in_span(basis: Sequence[Vector], v: Vector) -> Optional[Vector]:
     """Coefficients expressing v in the given basis, or None if v is outside."""
     if not basis:
-        return Vector([]) if v.is_zero() else None
+        return Vector.trusted(()) if v.is_zero() else None
     m = Matrix.from_columns(list(basis))
     return solve(m, v)

@@ -40,7 +40,7 @@ class Representation:
             raise ValueError("nu has wrong shape")
 
     def operator(self, idx: Tuple[int, ...]) -> Matrix:
-        return Matrix(self.target_dim, self.target_dim, self.rho.value(idx).entries)
+        return Matrix.trusted(self.target_dim, self.target_dim, self.rho.value(idx).entries)
 
 
 def _adjoint_tensor(a: HomNambuAlgebra, coadjoint: bool = False) -> BracketTensor:
@@ -56,7 +56,7 @@ def _adjoint_tensor(a: HomNambuAlgebra, coadjoint: bool = False) -> BracketTenso
                 row[k * d + r] = -x
             else:
                 row[r * d + k] = x
-    return BracketTensor(d, a.arity - 1, {x: Vector(row) for x, row in rows.items()},
+    return BracketTensor(d, a.arity - 1, {x: Vector.trusted(row) for x, row in rows.items()},
                          vdim=d * d)
 
 

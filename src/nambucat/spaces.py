@@ -213,7 +213,8 @@ def _derived_span(a: HomNambuAlgebra) -> List[Vector]:
     if not vals:
         return []
     from .linalg import rref
-    reduced, pivots = rref(Matrix.from_rows([list(v.entries) for v in vals]))
+    reduced, pivots = rref(Matrix.trusted(len(vals), a.bracket.vdim,
+                                          [x for v in vals for x in v.entries]))
     return [reduced.row(i) for i in range(len(pivots))]
 
 
@@ -294,7 +295,7 @@ def varsigma_hom_lie(a: HomNambuAlgebra,
         v = [Fraction(0)] * dim
         for i, c in enumerate(coeffs.entries):
             v[offsets[k] + i] = c
-        return Vector(v)
+        return Vector.trusted(v)
 
     items: Dict[Tuple[int, ...], Vector] = {}
     for i, (ki, mi) in enumerate(elems):

@@ -242,6 +242,21 @@ def test_max_tuples_budget(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("position", ["before", "after"])
+def test_negative_max_tuples_is_a_usage_error(capsys, position):
+    """N < 0 is rejected by the parser, before any file is read, with exit 2;
+    N = 0 is a budget that no check fits in."""
+    flag = ("--max-tuples", "-1")
+    argv = flag + ("verify", cp("sl2")) if position == "before" else ("verify", cp("sl2")) + flag
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1].endswith("error: argument --max-tuples: N must be >= 0, got -1")
+    assert "budget" not in err
+    code, out, err = run(capsys, "--max-tuples", "0", "verify", cp("sl2"))
+    assert (code, out, err) == (
+        1, "", "tuple budget exceeded: check needs 9 basis tuples, budget is 0\n")
+
+
 def test_max_tuples_budget_applies_at_load(capsys, tmp_path):
     """A6 claims multiplicativity; the check that runs while the file loads
     needs 6^5 tuples and exceeds the budget before any selector runs;
@@ -456,6 +471,18 @@ def test_solve_derivations_distinct_twists(capsys):
     code, out, err = run(capsys, "solve", cp("example2"), "derivations", "0")
     assert code == 1 and out == ""
     assert err == "error: twists differ\n"
+
+
+@pytest.mark.parametrize("space", ["centroid", "derivations"])
+def test_solve_twist_power_below_minus_one_is_a_usage_error(capsys, space):
+    """alpha^k is defined for k >= -1, with alpha^(-1) = 0: k = -2 exits 2 with
+    a message naming the range, and k = -1 still solves."""
+    code, out, err = run(capsys, "solve", cp("sl2"), space, "-2")
+    assert (code, out) == (2, "")
+    assert err == "error: twist power k must be >= -1 (alpha^-1 = 0, alpha^0 = id), got -2\n"
+    code, out, err = run(capsys, "--format", "text", "solve", cp("sl2"), space, "-1")
+    assert (code, err) == (0, "")
+    assert out == f"{cp('sl2')}: {space} dimension 0\n"
 
 
 def test_solve_center(capsys):
