@@ -169,6 +169,8 @@ def test_zero_and_basis_share_their_fractions():
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_solvers_match_the_dense_oracle_and_hand_out_fractions(data):
+    """rref, solve, solve_matrix and in_span wrap their results with the
+    trusted constructors: equal to the dense oracle, Fractions only."""
     r, c = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
     m = matrix(data.draw, r, c)
     rhs = matrix(data.draw, r, data.draw(st.integers(1, 2)))
