@@ -39,10 +39,6 @@ def perm_sign(perm: Sequence[int]) -> int:
     return -1 if inversions % 2 else 1
 
 
-def is_increasing(t: Sequence[int]) -> bool:
-    return all(p < q for p, q in zip(t, t[1:]))
-
-
 def sort_with_sign(idx: Tuple[int, ...]) -> Tuple[Optional[Tuple[int, ...]], int]:
     """Sorted index tuple and permutation sign; (None, 0) on repeated indices."""
     if len(set(idx)) != len(idx):
@@ -144,15 +140,12 @@ class BracketTensor:
         of that entry spread over the increasing J with coefficient
         det(m[R, J]), an (n-1)-minor of m (without a map, J = R only), and
         the entries that land on one key are summed.  Dense storage is
-        mapped by ``transform``.
+        rejected with ``ValueError``.
         """
+        if not self.skew_storage:
+            raise ValueError("free slots are read off skew storage only")
         if m is not None and _is_identity(m, self.dim):
             m = None
-        if not self.skew_storage:
-            src = self if m is None else self.transform(
-                [None if k == slot else m for k in range(self.arity)])
-            return [(t, v) for t, v in src.coeffs.items()
-                    if is_increasing(t[:slot] + t[slot + 1:])]
         if m is not None and (m.rows != self.dim or m.cols != self.dim):
             raise ValueError("slot map has wrong shape")
         minors: Dict[Tuple[int, ...], Dict[Tuple[int, ...], Fraction]] = {}

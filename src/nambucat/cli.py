@@ -155,20 +155,12 @@ def _form_arg(spec: str, dim: int) -> BilinearForm:
 
 def cmd_construct(args) -> int:
     sub = args.construction
-    inputs = args.inputs
-    if sub == "tensor":
-        if len(inputs) != 2:
-            raise UsageError("tensor needs two input files")
-    elif len(inputs) != 1:
-        raise UsageError(f"{sub} needs exactly one input file")
     budget = args.max_tuples
-    objs = [fileio.load(p, max_tuples=budget) for p in inputs]
-    names = [os.path.basename(p) for p in inputs]
+    objs = [fileio.load(p, max_tuples=budget) for p in args.inputs]
+    names = [os.path.basename(p) for p in args.inputs]
     provenance = f"constructed by '{sub}' from {', '.join(names)}"
 
     if sub == "twist":
-        if not args.rho:
-            raise UsageError("twist needs --rho")
         a = _as_nambu(objs[0], sub)
         out = constructions.twist_by_morphism(a, fileio.matrix_from_file(args.rho, a.dim),
                                               max_tuples=budget)
@@ -196,8 +188,6 @@ def cmd_construct(args) -> int:
             l = HomLeibnizAlgebra(a.dim, a.bracket, a.twists[0])
         if not isinstance(l, HomLeibnizAlgebra):
             raise UsageError("trace-ternary input must be a binary algebra file")
-        if not (args.gamma and args.tau):
-            raise UsageError("trace-ternary needs --gamma and --tau")
         gamma = fileio.matrix_from_file(args.gamma, l.dim)
         tau = fileio.vector_from_file(args.tau, l.dim)
         out = constructions.trace_induced_ternary(l, gamma, tau, max_tuples=budget)
@@ -205,14 +195,10 @@ def cmd_construct(args) -> int:
         out = constructions.raise_arity(_as_quadratic(objs[0], sub), args.k,
                                         max_tuples=budget)
     elif sub == "reduce":
-        if not args.fixed:
-            raise UsageError("reduce needs at least one --fixed vector file")
         q = _as_quadratic(objs[0], sub)
         fixed = [fileio.vector_from_file(p, q.algebra.dim) for p in args.fixed]
         out = constructions.reduce_arity(q, fixed, max_tuples=budget)
     elif sub == "centroid-bracket":
-        if not args.theta:
-            raise UsageError("centroid-bracket needs --theta")
         a = _as_nambu(objs[0], sub)
         out = constructions.centroid_twisted_bracket(
             a, fileio.matrix_from_file(args.theta, a.dim), args.p, max_tuples=budget)
@@ -220,8 +206,6 @@ def cmd_construct(args) -> int:
         q = objs[0]
         if not isinstance(q, QuadraticStructure):
             raise UsageError("pullback-form input must carry a form")
-        if not args.map:
-            raise UsageError("pullback-form needs --map")
         m = fileio.matrix_from_file(args.map, q.algebra.dim)
         out = QuadraticStructure(q.algebra, constructions.pullback_form(q.form, m),
                                  beta=q.beta)
@@ -315,6 +299,30 @@ class _NonNegative(argparse.Action):
         setattr(namespace, self.dest, value)
 
 
+# construction: (its number of input files, the options it reads)
+CONSTRUCTIONS = {
+    "twist": (1, {"--rho": dict(required=True, help="endomorphism matrix file")}),
+    "self-twist": (1, {}),
+    "tensor": (2, {}),
+    "leibniz": (1, {}),
+    "tstar": (1, {"--form": dict(help="'identity' (the default) or a matrix file"),
+                  "--omega": dict(help="involution matrix file")}),
+    "trace-ternary": (1, {"--gamma": dict(required=True, help="second twist matrix file"),
+                          "--tau": dict(required=True, help="trace vector file")}),
+    "raise": (1, {"-k": dict(type=int, default=1, help="iteration count")}),
+    "reduce": (1, {"--fixed": dict(action="append", required=True,
+                                   help="vector file of a fixed argument; repeatable")}),
+    "centroid-bracket": (1, {"--theta": dict(required=True,
+                                             help="centroid element matrix file"),
+                             "-p": dict(type=int, default=1,
+                                        help="number of twisted slots")}),
+    "pullback-form": (1, {"--map": dict(required=True, help="form-symmetric matrix file")}),
+    "faulkner": (1, {"--alpha": dict(help="involution matrix file"),
+                     "--what": dict(choices=("ternary", "leibniz"), default="ternary",
+                                    help="output type")}),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "text"),
@@ -336,34 +344,22 @@ def build_parser() -> argparse.ArgumentParser:
                         f"choose from {', '.join(SELECTORS)}")
 
     p = subs.add_parser("construct", parents=[common], help="build a new algebra from inputs")
-    p.add_argument("construction",
-                   choices=("twist", "self-twist", "tensor", "leibniz", "tstar",
-                            "trace-ternary", "raise", "reduce",
-                            "centroid-bracket", "pullback-form", "faulkner"))
-    p.add_argument("inputs", nargs="+")
-    p.add_argument("-o", "--output", required=True)
-    p.add_argument("--rho", help="endomorphism matrix file (twist)")
-    p.add_argument("--form", help="'identity' or a matrix file (tstar)")
-    p.add_argument("--omega", help="involution matrix file (tstar)")
-    p.add_argument("--gamma", help="second twist matrix file (trace-ternary)")
-    p.add_argument("--tau", help="trace vector file (trace-ternary)")
-    p.add_argument("--theta", help="centroid element matrix file (centroid-bracket)")
-    p.add_argument("--map", help="form-symmetric matrix file (pullback-form)")
-    p.add_argument("--alpha", help="involution matrix file (faulkner)")
-    p.add_argument("--what", choices=("ternary", "leibniz"), default="ternary",
-                   help="faulkner output type")
-    p.add_argument("--fixed", action="append",
-                   help="vector file of a fixed argument (reduce); repeatable")
-    p.add_argument("-k", type=int, default=1, help="iteration count (raise)")
-    p.add_argument("-p", type=int, default=1,
-                   help="number of twisted slots (centroid-bracket)")
+    builds = p.add_subparsers(dest="construction", required=True)
+    for name, (inputs, options) in CONSTRUCTIONS.items():
+        c = builds.add_parser(name, parents=[common])
+        c.add_argument("inputs", nargs=inputs, metavar="input")
+        c.add_argument("-o", "--output", required=True)
+        for flag, kwargs in options.items():
+            c.add_argument(flag, **kwargs)
 
     p = subs.add_parser("solve", parents=[common], help="compute a structure space basis")
     p.add_argument("file")
-    p.add_argument("space", choices=("centroid", "derivations", "center",
-                                     "central-derivations"))
-    p.add_argument("k", nargs="?", type=int, default=0,
-                   help="twist power level (centroid/derivations)")
+    levels = p.add_subparsers(dest="space", required=True)
+    for space in ("centroid", "derivations"):
+        levels.add_parser(space, parents=[common]).add_argument(
+            "k", nargs="?", type=int, default=0, help="twist power level")
+    for space in ("center", "central-derivations"):
+        levels.add_parser(space, parents=[common])
 
     p = subs.add_parser("report", parents=[common], help="summary table, one row per file")
     p.add_argument("files", nargs="+")

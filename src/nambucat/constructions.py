@@ -44,8 +44,9 @@ def _require(report: CheckReport, what: str) -> CheckReport:
 
 def _alternating(a: HomNambuAlgebra, expect_skew: Optional[bool] = None,
                  max_tuples: Optional[int] = None) -> HomNambuAlgebra:
-    """The algebra, its bracket in skew storage if it passes the skew check."""
-    skew = check_skew_symmetry(a, max_tuples).passed
+    """The algebra, its bracket in skew storage if it passes the skew check;
+    a bracket already in skew storage passes it without work, so it is not run."""
+    skew = a.bracket.skew_storage or check_skew_symmetry(a, max_tuples).passed
     if expect_skew is not None and skew != expect_skew:
         raise ConstructionError(f"expected skew={expect_skew}, verification says {skew}")
     return replace(a, bracket=a.bracket.skew_canonical()) if skew else a
@@ -58,6 +59,24 @@ def _verified_flags(a: HomNambuAlgebra, expect_skew: Optional[bool] = None,
     mult = (all(t == a.twists[0] for t in a.twists)
             and check_multiplicativity(a, max_tuples).passed)
     return replace(a, multiplicative=mult)
+
+
+def _twisted(bracket: BracketTensor, out_map: Matrix, twist: Matrix, what: str,
+             verify: bool, max_tuples: Optional[int]) -> HomNambuAlgebra:
+    """A twisting step: ``out_map`` after the bracket, every twist ``twist``.
+    The output is stored alternating if it is, its multiplicativity report
+    sets its flag, and with ``verify`` its identity and then that report are
+    required, the failures named after ``what``."""
+    n = bracket.arity
+    out = HomNambuAlgebra(bracket.dim, n, bracket.transform([None] * n, out_map=out_map),
+                          (twist,) * (n - 1))
+    out = _alternating(out, max_tuples=max_tuples)
+    mult = check_multiplicativity(out, max_tuples)
+    out = replace(out, multiplicative=mult.passed)
+    if verify:
+        _require(check_hom_nambu_identity(out, max_tuples), what)
+        _require(mult, f"{what} multiplicativity")
+    return out
 
 
 def _require_twisting(a: HomNambuAlgebra, form: BilinearForm, m: Matrix, name: str,
@@ -79,13 +98,7 @@ def twist_by_morphism(a: HomNambuAlgebra, rho: Matrix, verify: bool = True,
     if any(t != ident for t in a.twists):
         raise ConstructionError("input must have identity twists")
     _require(check_morphism(a, a, rho, max_tuples), "rho is not an endomorphism")
-    bracket = a.bracket.transform([None] * a.arity, out_map=rho)
-    out = HomNambuAlgebra(a.dim, a.arity, bracket,
-                          (rho,) * (a.arity - 1))
-    out = _verified_flags(out, max_tuples=max_tuples)
-    if verify:
-        _require(check_hom_nambu_identity(out, max_tuples), "twisted algebra")
-    return out
+    return _twisted(a.bracket, rho, rho, "twisted algebra", verify, max_tuples)
 
 
 def self_twist(a: HomNambuAlgebra, verify: bool = True,
@@ -94,14 +107,9 @@ def self_twist(a: HomNambuAlgebra, verify: bool = True,
     the twist, new twist the n-th power."""
     if not a.multiplicative:
         raise ConstructionError("input must be multiplicative")
-    alpha = a.twist
     n = a.arity
-    bracket = a.bracket.transform([None] * n, out_map=alpha.power(n - 1))
-    out = HomNambuAlgebra(a.dim, n, bracket, (alpha.power(n),) * (n - 1))
-    out = _verified_flags(out, max_tuples=max_tuples)
-    if verify:
-        _require(check_hom_nambu_identity(out, max_tuples), "self-twisted algebra")
-    return out
+    return _twisted(a.bracket, a.twist.power(n - 1), a.twist.power(n),
+                    "self-twisted algebra", verify, max_tuples)
 
 
 def tensor_product(h: HomAssocNAry, a: HomNambuAlgebra,
@@ -251,17 +259,11 @@ def tstar_extension(a: HomNambuAlgebra, form: BilinearForm,
 
     _require_twisting(a, form, omega, "omega", max_tuples)
     big_omega = _blocks((omega, zero), (zero, omega.T))
-
-    # an output map keeps skew storage, so only multiplicativity is checked
-    tw_bracket = bracket.transform([None] * n, out_map=big_omega)
-    twisted = HomNambuAlgebra(2 * d, n, tw_bracket, (big_omega,) * (n - 1))
-    mult = check_multiplicativity(twisted, max_tuples)
-    twisted = replace(twisted, multiplicative=mult.passed)
+    twisted = _twisted(bracket, big_omega, big_omega, "twisted T*-extension", verify,
+                       max_tuples)
     struct = QuadraticStructure(twisted, big_form, beta=big_omega)
     omega_form = BilinearForm(2 * d, big_omega.T @ big_form.gram)
     if verify:
-        _require(check_hom_nambu_identity(twisted, max_tuples), "twisted T*-extension")
-        _require(mult, "twisted T*-extension multiplicativity")
         _require(check_quadratic(struct, max_tuples),
                  "twisted T*-extension Hom-quadratic form")
         _require(check_quadratic(QuadraticStructure(twisted, omega_form), max_tuples),

@@ -10,7 +10,7 @@ phi into C and D; the tensor Leibniz bracket is a ``kron`` of two of them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from .algebra import (BilinearForm, BracketTensor, HomLeibnizAlgebra,
@@ -18,7 +18,7 @@ from .algebra import (BilinearForm, BracketTensor, HomLeibnizAlgebra,
 from .checks import (CheckReport, _compare, check_hom_leibniz,
                      check_hom_nambu_identity, check_multiplicativity,
                      check_quadratic, check_skew_symmetry)
-from .constructions import (ConstructionError, _alternating, _require, _require_twisting,
+from .constructions import (ConstructionError, _require, _require_twisting, _twisted,
                             _verified_flags)
 from .linalg import Matrix, Vector, kron, solve_matrix
 
@@ -140,15 +140,8 @@ def faulkner_ternary(g: QuadraticLieAlgebra, alpha: Optional[Matrix] = None,
         return struct
 
     _require_twisting(g.algebra, g.form, alpha, "alpha", max_tuples)
-    tw_bracket = bracket.transform([None] * 3, out_map=alpha)
-    tern = _alternating(HomNambuAlgebra(d, 3, tw_bracket, (alpha, alpha)),
-                        max_tuples=max_tuples)
-    mult = check_multiplicativity(tern, max_tuples)
-    tern = replace(tern, multiplicative=mult.passed)
-    form = BilinearForm(d, alpha.T @ gram)
-    struct = QuadraticStructure(tern, form)
+    tern = _twisted(bracket, alpha, alpha, "twisted ternary", verify, max_tuples)
+    struct = QuadraticStructure(tern, BilinearForm(d, alpha.T @ gram))
     if verify:
-        _require(check_hom_nambu_identity(tern, max_tuples), "twisted ternary algebra")
-        _require(mult, "twisted ternary multiplicativity")
         _require(check_quadratic(struct, max_tuples), "twisted ternary quadratic structure")
     return struct

@@ -16,11 +16,15 @@ import itertools
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from nambucat.algebra import BracketTensor, add_scaled, is_increasing
+from nambucat.algebra import BracketTensor, add_scaled
 from nambucat.checks import (CheckReport, Counterexample, _budget, _comb_rank,
                              _tuple_count, _twist_slots)
 from nambucat.linalg import Matrix, SparseMatrix, Vector, det, nullspace, rref
 from nambucat.spaces import SubspaceBasis, _twist_power
+
+
+def is_increasing(t: Sequence[int]) -> bool:
+    return all(p < q for p, q in zip(t, t[1:]))
 
 
 def _is_identity(m: Matrix, n: int) -> bool:
@@ -76,9 +80,9 @@ def fraction_assemble(d: int, width: int, lhs: Optional[BracketTensor],
                       free: Optional[int] = None) -> List[Dict[int, Fraction]]:
     """The equations of ``spaces._assemble`` as ``Fraction`` rows, with each
     pattern already mapped.  With ``free`` None every expanded entry is
-    walked, every ordering of a skew bracket's slots included; otherwise the
-    entries are read through ``free_slot_items``, one equation per orbit.
-    Vanishing and repeated rows are dropped."""
+    walked, every ordering of a skew bracket's slots included; otherwise only
+    the expanded entries whose slots other than i increase, one equation per
+    orbit.  Vanishing and repeated rows are dropped."""
     rows: Dict[Tuple[Tuple[int, ...], int], Dict[int, Fraction]] = {}
 
     def add(t, r, col, x):
@@ -86,13 +90,15 @@ def fraction_assemble(d: int, width: int, lhs: Optional[BracketTensor],
         row[col] = row.get(col, 0) + x
 
     def entries(tensor, i):
+        items = tensor.dense_items()
         if free is None:
-            return [(key, vec, range(width)) for key, vec in tensor.dense_items()]
+            return [(key, vec, range(width)) for key, vec in items]
+        items = [(key, vec) for key, vec in items if is_increasing(key[:i] + key[i + 1:])]
         if free == 1:
-            return [(key, vec, range(width)) for key, vec in tensor.free_slot_items(0)]
+            return [(key, vec, range(width)) for key, vec in items]
         return [(key, vec, range(key[i - 1] + 1 if i else 0,
                                  key[i + 1] if i + 1 < len(key) else width))
-                for key, vec in tensor.free_slot_items(i)]
+                for key, vec in items]
 
     if lhs is not None:
         for t, vec, slot0 in entries(lhs, 0):

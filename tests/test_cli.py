@@ -10,6 +10,7 @@ import pytest
 from conftest import filippov
 from nambucat import checks, cli, corpus, faulkner, fileio
 from nambucat.cli import main
+from test_construct_bytes import PINNED, _argv
 
 
 def run(capsys, *argv):
@@ -451,6 +452,68 @@ def test_construct_missing_option(capsys, tmp_path):
     assert code == 2
 
 
+# construction: (a pinned command line of it, an option it does not read)
+STRAY_OPTIONS = {
+    "twist": ("twist-simple3lie4.json", "--omega sign4"),
+    "self-twist": ("self-twist-example1.json", "--rho sign4"),
+    "tensor": ("tensor-zero3.json", "-k 1"),
+    "leibniz": ("leibniz-zero2.json", "--omega sign4"),
+    "tstar": ("tstar-simple3lie4.json", "--rho sign4"),
+    "trace-ternary": ("trace-heisenberg3.json", "--alpha gamma3"),
+    "raise": ("raise-example1.json", "-p 2"),
+    "reduce": ("reduce-simple3lie4.json", "--theta three4"),
+    "centroid-bracket": ("centroid-bracket-simple3lie4.json", "-k 2"),
+    "pullback-form": ("pullback-form-simple3lie4.json", "--what leibniz"),
+    "faulkner": ("faulkner-ternary-sl2.json", "--fixed e1"),
+}
+
+
+def _usage_error(capsys, tmp_path, words):
+    """Run ``construct words -o OUT``: it must exit 2 with argparse's message,
+    print nothing on stdout and write nothing at OUT."""
+    out = tmp_path / "out.json"
+    code, stdout, err = run(capsys, "construct", *_argv(words, tmp_path), "-o", str(out))
+    assert (code, stdout) == (2, "")
+    assert err.startswith("usage: nambucat") and "Traceback" not in err
+    assert not out.exists()
+    return err.splitlines()[-1]
+
+
+@pytest.mark.parametrize("construction", sorted(STRAY_OPTIONS))
+def test_construct_rejects_an_option_it_does_not_read(capsys, tmp_path, construction):
+    case, stray = STRAY_OPTIONS[construction]
+    message = _usage_error(capsys, tmp_path, f"{PINNED[case][0]} {stray}")
+    assert message.startswith(f"nambucat: error: unrecognized arguments: {stray.split()[0]} ")
+
+
+# a required option or input removed from a pinned command line, and one input
+# too many
+MISSING = [("twist-simple3lie4.json", "--rho sign4"),
+           ("trace-heisenberg3.json", "--gamma gamma3"),
+           ("trace-heisenberg3.json", "--tau tau3"),
+           ("reduce-simple3lie4.json", "--fixed e1"),
+           ("centroid-bracket-simple3lie4.json", "--theta three4"),
+           ("pullback-form-simple3lie4.json", "--map three4"),
+           ("tensor-zero3.json", "zero3")]
+MISSING += [(case, PINNED[case][0].split()[1]) for case, _ in STRAY_OPTIONS.values()]
+
+
+@pytest.mark.parametrize("case, missing", MISSING)
+def test_construct_rejects_a_missing_option_or_input(capsys, tmp_path, case, missing):
+    words = PINNED[case][0]
+    assert f" {missing}" in words
+    message = _usage_error(capsys, tmp_path, words.replace(f" {missing}", "", 1))
+    assert "error: the following arguments are required: " in message
+
+
+@pytest.mark.parametrize("construction", sorted(STRAY_OPTIONS))
+def test_construct_rejects_an_extra_input(capsys, tmp_path, construction):
+    words = PINNED[STRAY_OPTIONS[construction][0]][0]
+    name, first = words.split()[:2]
+    message = _usage_error(capsys, tmp_path, words.replace(first, f"{first} zero1", 1))
+    assert message.startswith("nambucat: error: unrecognized arguments: ")
+
+
 # ---------------------------------------------------------------- solve
 
 def test_solve_centroid(capsys):
@@ -483,6 +546,20 @@ def test_solve_twist_power_below_minus_one_is_a_usage_error(capsys, space):
     code, out, err = run(capsys, "--format", "text", "solve", cp("sl2"), space, "-1")
     assert (code, err) == (0, "")
     assert out == f"{cp('sl2')}: {space} dimension 0\n"
+
+
+@pytest.mark.parametrize("space", ["center", "central-derivations"])
+def test_solve_takes_no_twist_power_for_a_space_without_one(capsys, space):
+    """K follows only centroid and derivations; an explicit K after center or
+    central-derivations is a usage error, while centroid still takes -1."""
+    for k in ("0", "1", "-5"):
+        code, out, err = run(capsys, "solve", cp("heisenberg3"), space, k)
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1] == f"nambucat: error: unrecognized arguments: {k}"
+    code, out, err = run(capsys, "--format", "text", "solve", cp("heisenberg3"), space)
+    assert (code, err) == (0, "")
+    code, _, err = run(capsys, "solve", cp("heisenberg3"), "centroid", "-1")
+    assert (code, err) == (0, "")
 
 
 def test_solve_center(capsys):
