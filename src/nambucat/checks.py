@@ -27,15 +27,9 @@ tensor, since that storage is alternating by construction, and two
 skew-storage tensors are compared on their stored keys.
 
 One loop over all tuples is left: the fundamental identity outside that
-shortcut.  Built the same way, it made the benchmark's construct-roundtrip
-3.06 times faster (wall time 1.614 s to 0.528 s), but the run then fitted 33
-passes instead of 12, and the benchmark's memory reading, which grows with
-the passes a run fits in, rose from 22.64 MB to 27.58 MB (+21.8%, against a
-10% bound).  Skipping zero entries in ``Vector`` sums and scalings
-(``a + b if b else a``), with the loop unchanged, made construct-roundtrip
-3.7 times faster (1.593 s to 0.427 s, 24 passes instead of 9), and the
-memory reading rose from 22.02 MB to 25.01 MB (+13.6%).  So both wait until
-that reading no longer counts speed as a memory regression.
+shortcut.  A faster kernel lets a benchmark run fit more passes, and the
+benchmark's memory reading grows with them, so the loop stays until that
+reading no longer counts speed as a memory regression (ROADMAP item 1).
 """
 
 from __future__ import annotations

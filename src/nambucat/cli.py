@@ -28,7 +28,7 @@ from .checks import (CheckReport, TupleBudgetExceeded,
                      check_hom_leibniz, check_hom_nambu_identity,
                      check_multiplicativity, check_quadratic,
                      check_skew_symmetry, check_total_hom_associativity)
-from .constructions import ConstructionError
+from .constructions import ConstructionError, _require
 from .faulkner import QuadraticLieAlgebra
 from .fileio import FileFormatError, FlagVerificationError
 from .linalg import rank
@@ -209,6 +209,7 @@ def cmd_construct(args) -> int:
         m = fileio.matrix_from_file(args.map, q.algebra.dim)
         out = QuadraticStructure(q.algebra, constructions.pullback_form(q.form, m),
                                  beta=q.beta)
+        _require(check_quadratic(out, budget), "pulled-back form")
     else:       # faulkner, the last construction argparse admits
         g = objs[0]
         if not isinstance(g, QuadraticLieAlgebra):
@@ -324,44 +325,47 @@ CONSTRUCTIONS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+    # allow_abbrev=False: an option is read only under its full name
+    common = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
     common.add_argument("--format", choices=("json", "text"),
                         default=argparse.SUPPRESS, help="report output format")
     common.add_argument("--max-tuples", type=int, metavar="N", action=_NonNegative,
                         default=argparse.SUPPRESS,
                         help="abort any single check needing more than N basis tuples")
     parser = argparse.ArgumentParser(
-        prog="nambucat", parents=[common],
+        prog="nambucat", parents=[common], allow_abbrev=False,
         description="Verify, construct, and analyze n-ary Hom-Nambu algebras "
                     "over exact rationals.")
     subs = parser.add_subparsers(dest="command")
 
-    p = subs.add_parser("verify", parents=[common],
-                        help="run identity checks on an algebra file")
+    def add(group, name: str, **kwargs) -> argparse.ArgumentParser:
+        return group.add_parser(name, parents=[common], allow_abbrev=False, **kwargs)
+
+    p = add(subs, "verify", help="run identity checks on an algebra file")
     p.add_argument("file")
     p.add_argument("selectors", nargs="*",
                    help=f"identities to check (default: all applicable); "
                         f"choose from {', '.join(SELECTORS)}")
 
-    p = subs.add_parser("construct", parents=[common], help="build a new algebra from inputs")
+    p = add(subs, "construct", help="build a new algebra from inputs")
     builds = p.add_subparsers(dest="construction", required=True)
     for name, (inputs, options) in CONSTRUCTIONS.items():
-        c = builds.add_parser(name, parents=[common])
+        c = add(builds, name)
         c.add_argument("inputs", nargs=inputs, metavar="input")
         c.add_argument("-o", "--output", required=True)
         for flag, kwargs in options.items():
             c.add_argument(flag, **kwargs)
 
-    p = subs.add_parser("solve", parents=[common], help="compute a structure space basis")
+    p = add(subs, "solve", help="compute a structure space basis")
     p.add_argument("file")
     levels = p.add_subparsers(dest="space", required=True)
     for space in ("centroid", "derivations"):
-        levels.add_parser(space, parents=[common]).add_argument(
+        add(levels, space).add_argument(
             "k", nargs="?", type=int, default=0, help="twist power level")
     for space in ("center", "central-derivations"):
-        levels.add_parser(space, parents=[common])
+        add(levels, space)
 
-    p = subs.add_parser("report", parents=[common], help="summary table, one row per file")
+    p = add(subs, "report", help="summary table, one row per file")
     p.add_argument("files", nargs="+")
     return parser
 

@@ -2,9 +2,11 @@
 
 Each transform takes verified input structures, checks the hypotheses it
 needs, builds the new bracket/form data, and re-verifies the advertised
-identities on the output before returning it. Hypothesis or verification
-failures raise ConstructionError carrying the failing CheckReport. Every
-check a transform runs honours its ``max_tuples`` budget.
+identities on the output before returning it: every Hom-Nambu algebra
+built goes through one output step, ``_finish``, and the quadratic checks
+follow it.  Hypothesis or verification failures raise ConstructionError
+carrying the failing CheckReport. Every check a transform runs honours its
+``max_tuples`` budget.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ from .algebra import (BilinearForm, BracketTensor, HomAssocNAry,
 from .checks import (CheckReport, check_hom_leibniz, check_hom_nambu_identity,
                      check_morphism, check_multiplicativity, check_quadratic,
                      check_skew_symmetry)
-from .linalg import Matrix, Vector, in_span, kron
+from .linalg import Matrix, Vector, kron
+from .spaces import centroid_membership
 
 
 def kron_power(m: Matrix, k: int) -> Matrix:
@@ -42,41 +45,34 @@ def _require(report: CheckReport, what: str) -> CheckReport:
     return report
 
 
-def _alternating(a: HomNambuAlgebra, expect_skew: Optional[bool] = None,
-                 max_tuples: Optional[int] = None) -> HomNambuAlgebra:
-    """The algebra, its bracket in skew storage if it passes the skew check;
-    a bracket already in skew storage passes it without work, so it is not run."""
+def _finish(a: HomNambuAlgebra, what: str, verify: bool, max_tuples: Optional[int],
+            expect_skew: Optional[bool] = None, twisting: bool = False) -> HomNambuAlgebra:
+    """The output step of every construction.  The bracket goes to skew
+    storage if it passes the skew check (a bracket already in skew storage
+    is not checked), and the multiplicativity report sets the flag when the
+    twists agree.  With ``verify`` the identity is required under the name
+    ``what``, and for a twisting step that report under ``what``
+    multiplicativity."""
     skew = a.bracket.skew_storage or check_skew_symmetry(a, max_tuples).passed
     if expect_skew is not None and skew != expect_skew:
         raise ConstructionError(f"expected skew={expect_skew}, verification says {skew}")
-    return replace(a, bracket=a.bracket.skew_canonical()) if skew else a
-
-
-def _verified_flags(a: HomNambuAlgebra, expect_skew: Optional[bool] = None,
-                    max_tuples: Optional[int] = None) -> HomNambuAlgebra:
-    """``_alternating``, and the multiplicative flag from a verification run."""
-    a = _alternating(a, expect_skew, max_tuples)
-    mult = (all(t == a.twists[0] for t in a.twists)
-            and check_multiplicativity(a, max_tuples).passed)
-    return replace(a, multiplicative=mult)
-
-
-def _twisted(bracket: BracketTensor, out_map: Matrix, twist: Matrix, what: str,
-             verify: bool, max_tuples: Optional[int]) -> HomNambuAlgebra:
-    """A twisting step: ``out_map`` after the bracket, every twist ``twist``.
-    The output is stored alternating if it is, its multiplicativity report
-    sets its flag, and with ``verify`` its identity and then that report are
-    required, the failures named after ``what``."""
-    n = bracket.arity
-    out = HomNambuAlgebra(bracket.dim, n, bracket.transform([None] * n, out_map=out_map),
-                          (twist,) * (n - 1))
-    out = _alternating(out, max_tuples=max_tuples)
-    mult = check_multiplicativity(out, max_tuples)
-    out = replace(out, multiplicative=mult.passed)
+    if skew:
+        a = replace(a, bracket=a.bracket.skew_canonical())
+    mult = (check_multiplicativity(a, max_tuples)
+            if all(t == a.twists[0] for t in a.twists) else None)
+    a = replace(a, multiplicative=mult is not None and mult.passed)
     if verify:
-        _require(check_hom_nambu_identity(out, max_tuples), what)
-        _require(mult, f"{what} multiplicativity")
-    return out
+        _require(check_hom_nambu_identity(a, max_tuples), what)
+        if twisting:
+            _require(mult, f"{what} multiplicativity")
+    return a
+
+
+def _twisted(bracket: BracketTensor, out_map: Matrix, twist: Matrix) -> HomNambuAlgebra:
+    """A twisting step: ``out_map`` after the bracket, every twist ``twist``."""
+    n = bracket.arity
+    return HomNambuAlgebra(bracket.dim, n, bracket.transform([None] * n, out_map=out_map),
+                           (twist,) * (n - 1))
 
 
 def _require_twisting(a: HomNambuAlgebra, form: BilinearForm, m: Matrix, name: str,
@@ -98,7 +94,8 @@ def twist_by_morphism(a: HomNambuAlgebra, rho: Matrix, verify: bool = True,
     if any(t != ident for t in a.twists):
         raise ConstructionError("input must have identity twists")
     _require(check_morphism(a, a, rho, max_tuples), "rho is not an endomorphism")
-    return _twisted(a.bracket, rho, rho, "twisted algebra", verify, max_tuples)
+    return _finish(_twisted(a.bracket, rho, rho), "twisted algebra", verify, max_tuples,
+                   twisting=True)
 
 
 def self_twist(a: HomNambuAlgebra, verify: bool = True,
@@ -108,8 +105,8 @@ def self_twist(a: HomNambuAlgebra, verify: bool = True,
     if not a.multiplicative:
         raise ConstructionError("input must be multiplicative")
     n = a.arity
-    return _twisted(a.bracket, a.twist.power(n - 1), a.twist.power(n),
-                    "self-twisted algebra", verify, max_tuples)
+    return _finish(_twisted(a.bracket, a.twist.power(n - 1), a.twist.power(n)),
+                   "self-twisted algebra", verify, max_tuples, twisting=True)
 
 
 def tensor_product(h: HomAssocNAry, a: HomNambuAlgebra,
@@ -128,10 +125,8 @@ def tensor_product(h: HomAssocNAry, a: HomNambuAlgebra,
     da, dn = h.dim, a.dim
     bracket = BracketTensor.kron([([h.mu, a.bracket], [[(0, i), (1, i)] for i in range(n)])])
     twists = tuple(kron(h.twists[i], a.twists[i]) for i in range(n - 1))
-    out = HomNambuAlgebra(da * dn, n, bracket, twists)
-    out = _verified_flags(out, max_tuples=max_tuples)
-    if verify:
-        _require(check_hom_nambu_identity(out, max_tuples), "tensor product algebra")
+    out = _finish(HomNambuAlgebra(da * dn, n, bracket, twists), "tensor product algebra",
+                  verify, max_tuples)
     if form_h is None:
         return out
 
@@ -249,18 +244,17 @@ def tstar_extension(a: HomNambuAlgebra, form: BilinearForm,
     big_form = BilinearForm(2 * d, _blocks((form.gram, ident), (ident, zero)))
 
     if omega is None:
-        ext = HomNambuAlgebra(2 * d, n, bracket, (Matrix.identity(2 * d),) * (n - 1))
-        ext = _verified_flags(ext, max_tuples=max_tuples)
+        ext = _finish(HomNambuAlgebra(2 * d, n, bracket, (Matrix.identity(2 * d),) * (n - 1)),
+                      "T*-extension", verify, max_tuples)
+        struct = QuadraticStructure(ext, big_form)
         if verify:
-            _require(check_hom_nambu_identity(ext, max_tuples), "T*-extension")
-            _require(check_quadratic(QuadraticStructure(ext, big_form), max_tuples),
-                     "T*-extension form")
-        return TStarResult(QuadraticStructure(ext, big_form))
+            _require(check_quadratic(struct, max_tuples), "T*-extension form")
+        return TStarResult(struct)
 
     _require_twisting(a, form, omega, "omega", max_tuples)
     big_omega = _blocks((omega, zero), (zero, omega.T))
-    twisted = _twisted(bracket, big_omega, big_omega, "twisted T*-extension", verify,
-                       max_tuples)
+    twisted = _finish(_twisted(bracket, big_omega, big_omega), "twisted T*-extension",
+                      verify, max_tuples, twisting=True)
     struct = QuadraticStructure(twisted, big_form, beta=big_omega)
     omega_form = BilinearForm(2 * d, big_omega.T @ big_form.gram)
     if verify:
@@ -304,10 +298,8 @@ def trace_induced_ternary(l: HomLeibnizAlgebra, gamma: Matrix, tau: Vector,
     tau_map = BracketTensor.linear(Matrix.trusted(1, d, tau.entries))
     bracket = BracketTensor.kron([([tau_map, l.bracket], reads[3 - r:] + reads[:3 - r])
                                   for r in range(3)])
-    tern = HomNambuAlgebra(d, 3, bracket, (alpha, gamma))
-    tern = _verified_flags(tern, expect_skew=True, max_tuples=max_tuples)
-    if verify:
-        _require(check_hom_nambu_identity(tern, max_tuples), "trace-induced ternary algebra")
+    tern = _finish(HomNambuAlgebra(d, 3, bracket, (alpha, gamma)),
+                   "trace-induced ternary algebra", verify, max_tuples, expect_skew=True)
     if form is None:
         return tern
 
@@ -357,11 +349,10 @@ def raise_arity(q: QuadraticStructure, k: int, verify: bool = True,
         beta = beta @ alpha_pow
         alpha_pow = alpha_pow @ alpha_pow
         arity = new_arity
-    out = HomNambuAlgebra(d, arity, C, (alpha_pow,) * (arity - 1))
-    out = _verified_flags(out, max_tuples=max_tuples)
+    out = _finish(HomNambuAlgebra(d, arity, C, (alpha_pow,) * (arity - 1)),
+                  "raised-arity algebra", verify, max_tuples)
     struct = QuadraticStructure(out, q.form, beta=beta)
     if verify:
-        _require(check_hom_nambu_identity(out, max_tuples), "raised-arity algebra")
         _require(check_quadratic(struct, max_tuples), "raised-arity quadratic structure")
     return struct
 
@@ -387,11 +378,10 @@ def reduce_arity(q: QuadraticStructure, fixed: Sequence[Vector], verify: bool = 
                 f"annihilation hypothesis fails for fixed vector {j + 1} at tuple "
                 f"{tuple(i + 1 for i in t)}")
 
-    out = HomNambuAlgebra(d, n - k, C.fix(fixed), tuple(a.twists[k:]))
-    out = _verified_flags(out, max_tuples=max_tuples)
+    out = _finish(HomNambuAlgebra(d, n - k, C.fix(fixed), tuple(a.twists[k:])),
+                  "reduced-arity algebra", verify, max_tuples)
     struct = QuadraticStructure(out, q.form, beta=q.beta)
     if verify:
-        _require(check_hom_nambu_identity(out, max_tuples), "reduced-arity algebra")
         _require(check_quadratic(struct, max_tuples), "reduced-arity quadratic structure")
     return struct
 
@@ -407,13 +397,8 @@ def centroid_twisted_bracket(a: HomNambuAlgebra, theta: Matrix, p: int,
         raise ConstructionError("input must be a skew algebra with identity twists")
     if not 1 <= p <= n:
         raise ConstructionError("p must be between 1 and the arity")
-    from .spaces import compute_centroid
-    cent = compute_centroid(a, 0)
-    if in_span([m.flatten() for m in cent.basis], theta.flatten()) is None:
+    if not centroid_membership(a, theta, 0).passed:
         raise ConstructionError("theta is not in the centroid")
     bracket = a.bracket.transform([theta] * p + [None] * (n - p))
-    out = HomNambuAlgebra(d, n, bracket, (theta,) * (n - 1))
-    out = _verified_flags(out, expect_skew=True, max_tuples=max_tuples)
-    if verify:
-        _require(check_hom_nambu_identity(out, max_tuples), "centroid-twisted algebra")
-    return out
+    return _finish(HomNambuAlgebra(d, n, bracket, (theta,) * (n - 1)),
+                   "centroid-twisted algebra", verify, max_tuples, expect_skew=True)

@@ -18,8 +18,7 @@ from .algebra import (BilinearForm, BracketTensor, HomLeibnizAlgebra,
 from .checks import (CheckReport, _compare, check_hom_leibniz,
                      check_hom_nambu_identity, check_multiplicativity,
                      check_quadratic, check_skew_symmetry)
-from .constructions import (ConstructionError, _require, _require_twisting, _twisted,
-                            _verified_flags)
+from .constructions import ConstructionError, _finish, _require, _require_twisting, _twisted
 from .linalg import Matrix, Vector, kron, solve_matrix
 
 
@@ -131,17 +130,15 @@ def faulkner_ternary(g: QuadraticLieAlgebra, alpha: Optional[Matrix] = None,
         raise ConstructionError("T is not antisymmetric")
     bracket = g.algebra.bracket.substitute(0, T)
     if alpha is None:
-        tern = HomNambuAlgebra(d, 3, bracket, (Matrix.identity(d),) * 2)
-        tern = _verified_flags(tern, max_tuples=max_tuples)
-        struct = QuadraticStructure(tern, g.form)
-        if verify:
-            _require(check_hom_nambu_identity(tern, max_tuples), "ternary algebra")
-            _require(check_quadratic(struct, max_tuples), "ternary quadratic structure")
-        return struct
-
-    _require_twisting(g.algebra, g.form, alpha, "alpha", max_tuples)
-    tern = _twisted(bracket, alpha, alpha, "twisted ternary", verify, max_tuples)
-    struct = QuadraticStructure(tern, BilinearForm(d, alpha.T @ gram))
+        tern = _finish(HomNambuAlgebra(d, 3, bracket, (Matrix.identity(d),) * 2),
+                       "ternary algebra", verify, max_tuples)
+        struct, what = QuadraticStructure(tern, g.form), "ternary quadratic structure"
+    else:
+        _require_twisting(g.algebra, g.form, alpha, "alpha", max_tuples)
+        tern = _finish(_twisted(bracket, alpha, alpha), "twisted ternary", verify, max_tuples,
+                       twisting=True)
+        struct = QuadraticStructure(tern, BilinearForm(d, alpha.T @ gram))
+        what = "twisted ternary quadratic structure"
     if verify:
-        _require(check_quadratic(struct, max_tuples), "twisted ternary quadratic structure")
+        _require(check_quadratic(struct, max_tuples), what)
     return struct

@@ -39,11 +39,6 @@ class SubspaceBasis:
     def dimension(self) -> int:
         return len(self.basis)
 
-    def contains(self, elt) -> bool:
-        flats = [b.flatten() if self.kind == "matrix" else b for b in self.basis]
-        flat = elt.flatten() if self.kind == "matrix" else elt
-        return in_span(list(flats), flat) is not None
-
 
 def _twist_power(a, k: int) -> Matrix:
     """alpha^k with the conventions alpha^0 = id and alpha^(-1) = 0."""

@@ -8,6 +8,7 @@ from nambucat import (BilinearForm, BracketTensor, HomAssocNAry,
                       HomNambuAlgebra, Matrix, QuadraticStructure, Vector,
                       corpus)
 from nambucat.faulkner import QuadraticLieAlgebra
+from nambucat.linalg import in_span
 
 
 @pytest.fixture(scope="session")
@@ -45,6 +46,12 @@ def dualnum():
 @pytest.fixture(scope="session")
 def zero3():
     return corpus.load("zero3")
+
+
+def in_subspace(space, elt) -> bool:
+    """Whether a matrix or vector lies in the span of a ``SubspaceBasis``."""
+    flat = (lambda x: x.flatten()) if space.kind == "matrix" else (lambda x: x)
+    return in_span([flat(b) for b in space.basis], flat(elt)) is not None
 
 
 def zero_algebra(d, n):

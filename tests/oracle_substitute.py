@@ -11,6 +11,7 @@ arithmetic.  The total Hom-associativity chain's old loop is
 old dense slot-map loop.  Tests compare the library against all of these.
 """
 
+from dataclasses import replace
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -18,8 +19,9 @@ import oracle_skew
 
 from nambucat.algebra import (BracketTensor, HomNambuAlgebra, QuadraticStructure,
                               add_scaled, all_tuples)
-from nambucat.checks import check_hom_nambu_identity, check_quadratic
-from nambucat.constructions import ConstructionError, _require, _verified_flags
+from nambucat.checks import (check_hom_nambu_identity, check_multiplicativity,
+                             check_quadratic, check_skew_symmetry)
+from nambucat.constructions import ConstructionError, _require
 from nambucat.linalg import Matrix, Vector
 from nambucat.spaces import _twist_power, derivation_membership
 
@@ -105,6 +107,16 @@ def inner_derivation(a, x: Sequence[Vector], k: int) -> Matrix:
     if not report.passed:
         raise ValueError(f"inner map is not a derivation: {report.detail or report.counterexample}")
     return m
+
+
+def _verified_flags(a: HomNambuAlgebra) -> HomNambuAlgebra:
+    """The flags a builder sets on its output: skew storage if the bracket
+    passes the skew check, multiplicative if the twists agree and the
+    multiplicativity check passes."""
+    if a.bracket.skew_storage or check_skew_symmetry(a).passed:
+        a = replace(a, bracket=a.bracket.skew_canonical())
+    mult = all(t == a.twists[0] for t in a.twists) and check_multiplicativity(a).passed
+    return replace(a, multiplicative=mult)
 
 
 def raised_bracket(a: HomNambuAlgebra, k: int) -> BracketTensor:

@@ -445,6 +445,22 @@ def test_construct_tensor(capsys, tmp_path):
     assert obj.algebra.dim == 8 if hasattr(obj, "algebra") else obj.dim == 8
 
 
+def test_construct_pullback_form_checks_the_pulled_back_form(capsys, tmp_path):
+    """sign4 is symmetric for the standard form but not in the centroid of
+    simple3lie4, so the pulled-back form is not invariant: exit 1 with the
+    failing report, and nothing written."""
+    out = tmp_path / "pb.json"
+    code, stdout, err = run(capsys, "construct",
+                            *_argv("pullback-form simple3lie4 --map sign4", tmp_path),
+                            "-o", str(out))
+    assert (code, stdout) == (1, "")
+    head, report = err.split("\n", 1)
+    assert head == "construction failure: pulled-back form: quadratic check failed"
+    report = json.loads(report)
+    assert (report["identity"], report["counterexample"]["indices"]) == ("quadratic", [1, 3, 2, 4])
+    assert not out.exists()
+
+
 def test_construct_missing_option(capsys, tmp_path):
     out = tmp_path / "x.json"
     code, _, err = run(capsys, "construct", "twist", cp("simple3lie4"),
@@ -484,6 +500,23 @@ def test_construct_rejects_an_option_it_does_not_read(capsys, tmp_path, construc
     case, stray = STRAY_OPTIONS[construction]
     message = _usage_error(capsys, tmp_path, f"{PINNED[case][0]} {stray}")
     assert message.startswith(f"nambucat: error: unrecognized arguments: {stray.split()[0]} ")
+
+
+# a prefix of an option: of --format after a construction, of --max-tuples at
+# the top level and of --format after verify
+ABBREVIATED = [["construct", "self-twist", cp("example1"), "--form", "json"],
+               ["--max", "10", "verify", cp("zero2")],
+               ["verify", cp("zero2"), "--form", "text"]]
+
+
+@pytest.mark.parametrize("argv", ABBREVIATED)
+def test_an_abbreviated_option_is_a_usage_error(capsys, tmp_path, argv):
+    out = tmp_path / "abbrev.json"
+    argv = argv + (["-o", str(out)] if argv[0] == "construct" else [])
+    code, stdout, err = run(capsys, *argv)
+    assert (code, stdout) == (2, "")
+    assert err.startswith("usage: nambucat") and "Traceback" not in err
+    assert not out.exists()
 
 
 # a required option or input removed from a pinned command line, and one input

@@ -225,15 +225,19 @@ def test_centroid_bracket_rejects_non_centroid(s4):
         centroid_twisted_bracket(s4.algebra, bad, 1)
 
 
-def _count_flag_checks(monkeypatch, fail=False):
-    """Count the skew and multiplicativity checks that the builders run; with
-    ``fail`` every multiplicativity report is turned into a failure."""
+def _count_flag_checks(monkeypatch, fail=False, order=None,
+                       names=("check_skew_symmetry", "check_multiplicativity")):
+    """Count the checks ``names`` that the builders run, and append each
+    call's name to ``order`` if given; with ``fail`` every multiplicativity
+    report is turned into a failure."""
     calls = collections.Counter()
-    for name in ("check_skew_symmetry", "check_multiplicativity"):
+    for name in names:
         fn = getattr(checks, name)
 
         def counted(*args, _fn=fn, _name=name, **kwargs):
             calls[_name] += 1
+            if order is not None:
+                order.append(_name)
             report = _fn(*args, **kwargs)
             if fail and _name == "check_multiplicativity":
                 return replace(report, passed=False, detail="forced")
@@ -267,3 +271,45 @@ def test_twisted_builders_run_each_flag_check_once(monkeypatch, s4, sl2, name):
     assert str(e.value) == f"{name} multiplicativity: multiplicativity check failed"
     assert e.value.report.detail == "forced"
     assert calls == expected
+
+
+CHECKED_BUILDERS = {
+    "tstar": (lambda ctx: tstar_extension(ctx["s4"].algebra, BilinearForm.standard(4)),
+              ("quadratic", "mult", "identity", "quadratic")),
+    "raise": (lambda ctx: raise_arity(ctx["ex1"], 1),
+              ("skew", "mult", "identity", "quadratic")),
+    "reduce": (lambda ctx: reduce_arity(
+        QuadraticStructure(ctx["s4"].algebra, BilinearForm.standard(4)), [Vector.basis(4, 3)]),
+        ("skew", "mult", "identity", "quadratic")),
+    "centroid": (lambda ctx: centroid_twisted_bracket(
+        ctx["s4"].algebra, Matrix.identity(4).scale(F(3)), 2),
+        ("skew", "mult", "identity")),
+    "faulkner": (lambda ctx: faulkner_ternary(ctx["sl2"]),
+                 ("skew", "mult", "identity", "quadratic")),
+    "self-twist": (lambda ctx: self_twist(ctx["ex1"].algebra),
+                   ("skew", "mult", "identity")),
+    "twist": (lambda ctx: twist_by_morphism(ctx["s4"].algebra, sign4()),
+              ("mult", "identity")),
+    "tensor": (lambda ctx: tensor_product(ctx["dualnum"], ctx["s4"].algebra),
+               ("skew", "mult", "identity")),
+    "trace": (lambda ctx: trace_induced_ternary(
+        HomLeibnizAlgebra(3, ctx["heis"].bracket, Matrix.identity(3)),
+        Matrix.identity(3), Vector([F(0), F(0), F(1)])),
+        ("skew", "skew", "mult", "identity")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHECKED_BUILDERS))
+def test_builders_run_their_checks_in_order(monkeypatch, s4, sl2, ex1, dualnum, heis, name):
+    """Each builder runs its skew, multiplicativity, identity and quadratic
+    checks once each (the trace-induced one also checks its input's skewness),
+    in a fixed order."""
+    build, expected = CHECKED_BUILDERS[name]
+    order = []
+    _count_flag_checks(monkeypatch, order=order,
+                       names=("check_skew_symmetry", "check_multiplicativity",
+                              "check_hom_nambu_identity", "check_quadratic"))
+    build(dict(s4=s4, sl2=sl2, ex1=ex1, dualnum=dualnum, heis=heis))
+    short = {"check_skew_symmetry": "skew", "check_multiplicativity": "mult",
+             "check_hom_nambu_identity": "identity", "check_quadratic": "quadratic"}
+    assert tuple(short[n] for n in order) == expected
