@@ -221,7 +221,7 @@ def test_centroid_twisted_bracket(s4):
 
 def test_centroid_bracket_rejects_non_centroid(s4):
     bad = Matrix.diagonal([F(1), F(2), F(1), F(1)])
-    with pytest.raises(ConstructionError):
+    with pytest.raises(ConstructionError, match="^theta is not in the centroid$"):
         centroid_twisted_bracket(s4.algebra, bad, 1)
 
 
@@ -273,43 +273,40 @@ def test_twisted_builders_run_each_flag_check_once(monkeypatch, s4, sl2, name):
     assert calls == expected
 
 
+# builder: (a call of it on the loaded inputs; the checks it runs, in order)
 CHECKED_BUILDERS = {
-    "tstar": (lambda ctx: tstar_extension(ctx["s4"].algebra, BilinearForm.standard(4)),
+    "tstar": (lambda f: tstar_extension(f("s4").algebra, BilinearForm.standard(4)),
               ("quadratic", "mult", "identity", "quadratic")),
-    "raise": (lambda ctx: raise_arity(ctx["ex1"], 1),
-              ("skew", "mult", "identity", "quadratic")),
-    "reduce": (lambda ctx: reduce_arity(
-        QuadraticStructure(ctx["s4"].algebra, BilinearForm.standard(4)), [Vector.basis(4, 3)]),
+    "raise": (lambda f: raise_arity(f("ex1"), 1), ("skew", "mult", "identity", "quadratic")),
+    "reduce": (lambda f: reduce_arity(
+        QuadraticStructure(f("s4").algebra, BilinearForm.standard(4)), [Vector.basis(4, 3)]),
         ("skew", "mult", "identity", "quadratic")),
-    "centroid": (lambda ctx: centroid_twisted_bracket(
-        ctx["s4"].algebra, Matrix.identity(4).scale(F(3)), 2),
-        ("skew", "mult", "identity")),
-    "faulkner": (lambda ctx: faulkner_ternary(ctx["sl2"]),
+    "centroid": (lambda f: centroid_twisted_bracket(
+        f("s4").algebra, Matrix.identity(4).scale(F(3)), 2), ("skew", "mult", "identity")),
+    "faulkner": (lambda f: faulkner_ternary(f("sl2")),
                  ("skew", "mult", "identity", "quadratic")),
-    "self-twist": (lambda ctx: self_twist(ctx["ex1"].algebra),
-                   ("skew", "mult", "identity")),
-    "twist": (lambda ctx: twist_by_morphism(ctx["s4"].algebra, sign4()),
-              ("mult", "identity")),
-    "tensor": (lambda ctx: tensor_product(ctx["dualnum"], ctx["s4"].algebra),
+    "self-twist": (lambda f: self_twist(f("ex1").algebra), ("skew", "mult", "identity")),
+    "twist": (lambda f: twist_by_morphism(f("s4").algebra, sign4()), ("mult", "identity")),
+    "tensor": (lambda f: tensor_product(f("dualnum"), f("s4").algebra),
                ("skew", "mult", "identity")),
-    "trace": (lambda ctx: trace_induced_ternary(
-        HomLeibnizAlgebra(3, ctx["heis"].bracket, Matrix.identity(3)),
-        Matrix.identity(3), Vector([F(0), F(0), F(1)])),
-        ("skew", "skew", "mult", "identity")),
+    "trace": (lambda f: trace_induced_ternary(
+        HomLeibnizAlgebra(3, f("heis").bracket, Matrix.identity(3)),
+        Matrix.identity(3), Vector([F(0), F(0), F(1)])), ("skew", "skew", "mult", "identity")),
 }
+SHORT = {"check_skew_symmetry": "skew", "check_multiplicativity": "mult",
+         "check_hom_nambu_identity": "identity", "check_quadratic": "quadratic"}
 
 
 @pytest.mark.parametrize("name", sorted(CHECKED_BUILDERS))
-def test_builders_run_their_checks_in_order(monkeypatch, s4, sl2, ex1, dualnum, heis, name):
-    """Each builder runs its skew, multiplicativity, identity and quadratic
-    checks once each (the trace-induced one also checks its input's skewness),
-    in a fixed order."""
+def test_builders_run_their_checks_in_order(monkeypatch, request, name):
+    """The checks on the input (the T*-extension's input form, the
+    trace-induced bracket's input skewness) come first; then the output's
+    skew check, unless it is built in skew storage, its multiplicativity,
+    identity and quadratic checks, each once."""
     build, expected = CHECKED_BUILDERS[name]
+    # loaded before counting starts: loading a file runs checks of its own
+    inputs = {f: request.getfixturevalue(f) for f in ("s4", "sl2", "ex1", "dualnum", "heis")}
     order = []
-    _count_flag_checks(monkeypatch, order=order,
-                       names=("check_skew_symmetry", "check_multiplicativity",
-                              "check_hom_nambu_identity", "check_quadratic"))
-    build(dict(s4=s4, sl2=sl2, ex1=ex1, dualnum=dualnum, heis=heis))
-    short = {"check_skew_symmetry": "skew", "check_multiplicativity": "mult",
-             "check_hom_nambu_identity": "identity", "check_quadratic": "quadratic"}
-    assert tuple(short[n] for n in order) == expected
+    _count_flag_checks(monkeypatch, order=order, names=tuple(SHORT))
+    build(inputs.get)
+    assert tuple(SHORT[n] for n in order) == expected
