@@ -327,15 +327,13 @@ def check_hom_leibniz(l: HomLeibnizAlgebra,
 
 def check_quadratic(q: QuadraticStructure,
                     max_tuples: Optional[int] = None) -> CheckReport:
-    """Symmetry, nondegeneracy (degenerate forms warn, not fail), twist
-    symmetry of the form, and (beta-)invariance under adjoint operators."""
+    """Nondegeneracy (degenerate forms warn, not fail), twist symmetry of the
+    form, and (beta-)invariance under adjoint operators."""
     a = q.algebra
     n, d = a.arity, a.dim
     G = q.form.gram
     warnings: List[str] = []
 
-    if not G.is_symmetric():
-        return CheckReport("quadratic", False, None, 0, detail="gram matrix not symmetric")
     r = rank(G)
     if r < d:
         warnings.append(f"form is degenerate: rank {r} < dim {d}")

@@ -4,7 +4,9 @@ Exit codes: 0 all checks passed, 1 mathematical failure (failed identity,
 failed construction hypothesis, false flag claim) or an exceeded tuple
 budget, 2 usage or parse error, or a file that cannot be read or written
 (an unreadable input is a ``FileFormatError``, an unwritable output an
-``OSError``).  All output is deterministic.
+``OSError``).  All output is deterministic.  ``--max-tuples`` may come
+before or after any command, ``--format`` only around ``FORMAT_COMMANDS``;
+a stray argument is shown under the usage of the parser that received it.
 
 The identities that ``verify`` and ``report`` check are one table,
 ``CHECKS``: each selector names the identity of its report, by which a check
@@ -28,7 +30,7 @@ from .checks import (CheckReport, TupleBudgetExceeded,
                      check_hom_leibniz, check_hom_nambu_identity,
                      check_multiplicativity, check_quadratic,
                      check_skew_symmetry, check_total_hom_associativity)
-from .constructions import ConstructionError, _require
+from .constructions import ConstructionError
 from .faulkner import QuadraticLieAlgebra
 from .fileio import FileFormatError, FlagVerificationError
 from .linalg import rank
@@ -46,6 +48,7 @@ CHECKS = {
               lambda a, q, t: check_total_hom_associativity(a, t)),
 }
 SELECTORS = tuple(CHECKS)
+FORMAT_COMMANDS = ("verify", "solve")     # the commands that read --format
 
 
 def _unwrap(obj) -> Tuple[object, Optional[QuadraticStructure]]:
@@ -140,25 +143,14 @@ def _as_quadratic(obj, what: str) -> QuadraticStructure:
 
 
 def _as_nambu(obj, what: str) -> HomNambuAlgebra:
-    if isinstance(obj, QuadraticStructure):
-        return obj.algebra
-    if isinstance(obj, HomNambuAlgebra):
-        return obj
-    raise UsageError(f"{what}: expected an n-ary algebra file")
-
-
-def _form_arg(spec: str, dim: int) -> BilinearForm:
-    if spec == "identity":
-        return BilinearForm.standard(dim)
-    return BilinearForm(dim, fileio.matrix_from_file(spec, dim))
+    return _as_quadratic(obj, what).algebra
 
 
 def cmd_construct(args) -> int:
     sub = args.construction
     budget = args.max_tuples
     objs = [fileio.load(p, max_tuples=budget) for p in args.inputs]
-    names = [os.path.basename(p) for p in args.inputs]
-    provenance = f"constructed by '{sub}' from {', '.join(names)}"
+    provenance = f"constructed by '{sub}' from {', '.join(map(os.path.basename, args.inputs))}"
 
     if sub == "twist":
         a = _as_nambu(objs[0], sub)
@@ -175,7 +167,8 @@ def cmd_construct(args) -> int:
         out = constructions.induced_hom_leibniz(_as_nambu(objs[0], sub), max_tuples=budget)
     elif sub == "tstar":
         a = _as_nambu(objs[0], sub)
-        form = _form_arg(args.form or "identity", a.dim)
+        form = BilinearForm.standard(a.dim) if args.form in (None, "identity") \
+            else BilinearForm(a.dim, fileio.matrix_from_file(args.form, a.dim))
         omega = fileio.matrix_from_file(args.omega, a.dim) if args.omega else None
         out = constructions.tstar_extension(a, form, omega=omega,
                                             max_tuples=budget).structure
@@ -206,22 +199,22 @@ def cmd_construct(args) -> int:
         q = objs[0]
         if not isinstance(q, QuadraticStructure):
             raise UsageError("pullback-form input must carry a form")
-        m = fileio.matrix_from_file(args.map, q.algebra.dim)
-        out = QuadraticStructure(q.algebra, constructions.pullback_form(q.form, m),
-                                 beta=q.beta)
-        _require(check_quadratic(out, budget), "pulled-back form")
+        form = constructions.pullback_form(q.form, fileio.matrix_from_file(args.map, q.form.dim))
+        out = QuadraticStructure(q.algebra, form, beta=q.beta)
+        report = check_quadratic(out, budget)
+        if not _report_ok(report):      # a degenerate form fails, as in verify
+            raise ConstructionError("pulled-back form: quadratic check failed", report)
     else:       # faulkner, the last construction argparse admits
         g = objs[0]
         if not isinstance(g, QuadraticLieAlgebra):
             raise UsageError("faulkner input must be a quadratic_lie file")
         alpha = fileio.matrix_from_file(args.alpha, g.dim) if args.alpha else None
-        if args.what == "leibniz":
-            if alpha is None:
-                out = faulkner.tensor_leibniz(g, max_tuples=budget)
-            else:
-                out = faulkner.omega_twist_leibniz(g, alpha, max_tuples=budget)[0]
-        else:
+        if args.what == "ternary":
             out = faulkner.faulkner_ternary(g, alpha=alpha, max_tuples=budget)
+        elif alpha is None:
+            out = faulkner.tensor_leibniz(g, max_tuples=budget)
+        else:
+            out = faulkner.omega_twist_leibniz(g, alpha, max_tuples=budget)[0]
 
     fileio.save(out, args.output, name=os.path.basename(args.output),
                 provenance=provenance)
@@ -235,14 +228,10 @@ def cmd_solve(args) -> int:
                          f"got {args.k}")
     obj = fileio.load(args.file, max_tuples=args.max_tuples)
     a = _as_nambu(_unwrap(obj)[0], "solve")
-    if args.space == "centroid":
-        basis = spaces.compute_centroid(a, args.k)
-    elif args.space == "derivations":
-        basis = spaces.compute_derivations(a, args.k)
-    elif args.space == "center":
-        basis = spaces.compute_center(a)
-    else:       # argparse admits only the four spaces
-        basis = spaces.compute_central_derivations(a)
+    basis = (spaces.compute_centroid(a, args.k) if args.space == "centroid"
+             else spaces.compute_derivations(a, args.k) if args.space == "derivations"
+             else spaces.compute_center(a) if args.space == "center"
+             else spaces.compute_central_derivations(a))    # argparse admits only these
     doc = fileio.subspace_to_document(basis)
     if args.format == "json":
         sys.stdout.write(json.dumps(doc, indent=2) + "\n")
@@ -291,6 +280,16 @@ class UsageError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """Names itself the receiver of its stray arguments, unless a subparser did."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, stray = super().parse_known_args(args, namespace)
+        if stray and not hasattr(namespace, "receiver"):
+            namespace.receiver = self
+        return namespace, stray
+
+
 class _NonNegative(argparse.Action):
     """Stores an int option; a negative value is a usage error (exit 2)."""
 
@@ -325,21 +324,23 @@ CONSTRUCTIONS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
-    # allow_abbrev=False: an option is read only under its full name
-    common = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
-    common.add_argument("--format", choices=("json", "text"),
-                        default=argparse.SUPPRESS, help="report output format")
-    common.add_argument("--max-tuples", type=int, metavar="N", action=_NonNegative,
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=("json", "text"),
+                     default=argparse.SUPPRESS, help="report output format")
+    budget = argparse.ArgumentParser(add_help=False)
+    budget.add_argument("--max-tuples", type=int, metavar="N", action=_NonNegative,
                         default=argparse.SUPPRESS,
                         help="abort any single check needing more than N basis tuples")
-    parser = argparse.ArgumentParser(
-        prog="nambucat", parents=[common], allow_abbrev=False,
+    # allow_abbrev=False: an option is read only under its full name
+    parser = _Parser(
+        prog="nambucat", parents=[fmt, budget], allow_abbrev=False,
         description="Verify, construct, and analyze n-ary Hom-Nambu algebras "
                     "over exact rationals.")
-    subs = parser.add_subparsers(dest="command")
+    subs = parser.add_subparsers(dest="command", required=True)
 
-    def add(group, name: str, **kwargs) -> argparse.ArgumentParser:
-        return group.add_parser(name, parents=[common], allow_abbrev=False, **kwargs)
+    def add(group, name: str, command: str = "", **kwargs) -> argparse.ArgumentParser:
+        flags = [fmt, budget] if (command or name) in FORMAT_COMMANDS else [budget]
+        return group.add_parser(name, parents=flags, allow_abbrev=False, **kwargs)
 
     p = add(subs, "verify", help="run identity checks on an algebra file")
     p.add_argument("file")
@@ -350,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add(subs, "construct", help="build a new algebra from inputs")
     builds = p.add_subparsers(dest="construction", required=True)
     for name, (inputs, options) in CONSTRUCTIONS.items():
-        c = add(builds, name)
+        c = add(builds, name, "construct")
         c.add_argument("inputs", nargs=inputs, metavar="input")
         c.add_argument("-o", "--output", required=True)
         for flag, kwargs in options.items():
@@ -360,10 +361,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     levels = p.add_subparsers(dest="space", required=True)
     for space in ("centroid", "derivations"):
-        add(levels, space).add_argument(
+        add(levels, space, "solve").add_argument(
             "k", nargs="?", type=int, default=0, help="twist power level")
     for space in ("center", "central-derivations"):
-        add(levels, space)
+        add(levels, space, "solve")
 
     p = add(subs, "report", help="summary table, one row per file")
     p.add_argument("files", nargs="+")
@@ -378,15 +379,16 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = _parser()
-    args = parser.parse_args(argv)
-    # the shared flags may arrive before or after the subcommand; fall back
-    # to the documented defaults when neither position supplied them
-    for dest, default in (("format", "json"), ("max_tuples", None)):
-        if not hasattr(args, dest):
-            setattr(args, dest, default)
-    if args.command is None:
-        parser.print_usage(sys.stderr)
-        return 2
+    args, stray = parser.parse_known_args(argv)
+    if stray:
+        parser.exit(2, args.receiver.format_usage() + f"{parser.prog}: error: "
+                    f"unrecognized arguments: {' '.join(stray)}\n")
+    # the shared flags may arrive before or after the subcommand
+    if args.command in FORMAT_COMMANDS:
+        args.format = getattr(args, "format", "json")
+    elif hasattr(args, "format"):
+        parser.error(f"argument --format: read only by {' and '.join(FORMAT_COMMANDS)}")
+    args.max_tuples = getattr(args, "max_tuples", None)
     try:
         # looked up at call time, so a replaced cmd_* function is the one run
         return globals()[f"cmd_{args.command}"](args)

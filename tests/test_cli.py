@@ -461,6 +461,26 @@ def test_construct_pullback_form_checks_the_pulled_back_form(capsys, tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("name", ["simple3lie4", "example2"])
+def test_construct_pullback_form_refuses_a_degenerate_form(capsys, tmp_path, name):
+    """The zero map is symmetric for every form, and the zero form it pulls
+    back is invariant but degenerate, which verify rejects: exit 1 with the
+    report and its degeneracy warning, and nothing written."""
+    d = corpus.load(name).algebra.dim
+    zero = tmp_path / "zero.json"
+    zero.write_text(json.dumps({"matrix": [["0"] * d for _ in range(d)]}))
+    out = tmp_path / "pb.json"
+    code, stdout, err = run(capsys, "construct", "pullback-form", cp(name),
+                            "--map", str(zero), "-o", str(out))
+    assert (code, stdout) == (1, "")
+    head, report = err.split("\n", 1)
+    assert head == "construction failure: pulled-back form: quadratic check failed"
+    report = json.loads(report)
+    assert (report["identity"], report["passed"]) == ("quadratic", True)
+    assert report["warnings"] == [f"form is degenerate: rank 0 < dim {d}"]
+    assert not out.exists()
+
+
 def test_construct_missing_option(capsys, tmp_path):
     out = tmp_path / "x.json"
     code, _, err = run(capsys, "construct", "twist", cp("simple3lie4"),
@@ -545,6 +565,103 @@ def test_construct_rejects_an_extra_input(capsys, tmp_path, construction):
     name, first = words.split()[:2]
     message = _usage_error(capsys, tmp_path, words.replace(first, f"{first} zero1", 1))
     assert message.startswith("nambucat: error: unrecognized arguments: ")
+
+
+@pytest.mark.parametrize("construction", sorted(STRAY_OPTIONS))
+def test_a_stray_argument_is_shown_with_its_construction_usage(capsys, tmp_path, construction):
+    """An option the construction does not read and an extra input are shown
+    under the usage line of the construction's own parser."""
+    case, stray = STRAY_OPTIONS[construction]
+    words = PINNED[case][0]
+    first = words.split()[1]
+    for words in (f"{words} {stray}", words.replace(first, f"{first} zero1", 1)):
+        out = tmp_path / "out.json"
+        code, stdout, err = run(capsys, "construct", *_argv(words, tmp_path), "-o", str(out))
+        assert (code, stdout) == (2, "")
+        assert err.startswith(f"usage: nambucat construct {construction} [-h] ")
+        assert err.splitlines()[-1].startswith("nambucat: error: unrecognized arguments: ")
+        assert not out.exists()
+
+
+# a stray argument and the parser that receives it
+STRAY = [(("verify", cp("zero2"), "--bogus"), "nambucat verify"),
+         (("solve", cp("heisenberg3"), "center", "--bogus"), "nambucat solve file center"),
+         (("solve", cp("heisenberg3"), "--bogus", "center"), "nambucat solve"),
+         (("report", cp("zero2"), "--bogus"), "nambucat report"),
+         (("construct", "--bogus", "self-twist", cp("example1")), "nambucat construct"),
+         (("--bogus", "verify", cp("zero2")), "nambucat")]
+
+
+@pytest.mark.parametrize("argv, prog", STRAY)
+def test_a_stray_argument_is_shown_with_the_usage_of_its_parser(capsys, tmp_path, argv, prog):
+    out = tmp_path / "out.json"
+    argv += ("-o", str(out)) if "construct" in argv else ()
+    code, stdout, err = run(capsys, *argv)
+    assert (code, stdout) == (2, "")
+    assert err.startswith(f"usage: {prog} [-h] ") and "Traceback" not in err
+    assert err.splitlines()[-1] == "nambucat: error: unrecognized arguments: --bogus"
+    assert not out.exists()
+
+
+# ---------------------------------------------------------------- --format
+
+FORMAT_ERROR = "nambucat: error: argument --format: read only by verify and solve"
+
+
+@pytest.mark.parametrize("case", sorted(PINNED))
+def test_construct_rejects_format_in_either_position(capsys, tmp_path, case):
+    """Only verify and solve read --format: after a construction it is an
+    option the construction does not read, before construct a flag the
+    command does not read.  Both are usage errors, and nothing is written."""
+    words = _argv(PINNED[case][0], tmp_path)
+    out = tmp_path / "out.json"
+    for argv, message in (
+            (["construct", *words, "--format", "text"],
+             "nambucat: error: unrecognized arguments: --format text"),
+            (["--format", "text", "construct", *words], FORMAT_ERROR)):
+        code, stdout, err = run(capsys, *argv, "-o", str(out))
+        assert (code, stdout) == (2, "")
+        assert err.startswith("usage: nambucat") and "Traceback" not in err
+        assert err.splitlines()[-1] == message
+        assert not out.exists()
+
+
+def test_report_rejects_format_in_either_position(capsys):
+    for argv, usage, message in (
+            (("report", cp("sl2"), "--format", "text"), "usage: nambucat report [-h] ",
+             "nambucat: error: unrecognized arguments: --format text"),
+            (("--format", "text", "report", cp("sl2")), "usage: nambucat [-h] ", FORMAT_ERROR)):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(usage) and "Traceback" not in err
+        assert err.splitlines()[-1] == message
+
+
+@pytest.mark.parametrize("argv", [("verify", cp("zero2")), ("verify", cp("zero2"), "nambu"),
+                                  ("solve", cp("heisenberg3"), "centroid"),
+                                  ("solve", cp("heisenberg3"), "derivations", "1"),
+                                  ("solve", cp("heisenberg3"), "center"),
+                                  ("solve", cp("heisenberg3"), "central-derivations")])
+def test_verify_and_solve_read_format_before_and_after(capsys, argv):
+    command, rest = argv[0], argv[1:]
+    runs = [run(capsys, "--format", "text", *argv), run(capsys, *argv, "--format", "text"),
+            run(capsys, command, "--format", "text", *rest)]
+    assert runs[0][0] == 0 and runs[0][1].startswith(f"{argv[1]}: ")
+    assert all(r == runs[0] for r in runs)
+
+
+@pytest.mark.parametrize("argv", [("construct", "-h"), ("report", "-h")]
+                         + [("construct", name, "-h") for name in cli.CONSTRUCTIONS])
+def test_help_of_a_command_that_does_not_read_format_omits_it(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and "--max-tuples" in out and "--format" not in out
+
+
+@pytest.mark.parametrize("argv", [("-h",), ("verify", "-h"), ("solve", "-h"),
+                                  ("solve", cp("sl2"), "centroid", "-h")])
+def test_help_of_a_command_that_reads_format_lists_it(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and "--max-tuples" in out and "--format" in out
 
 
 # ---------------------------------------------------------------- solve
@@ -632,6 +749,13 @@ def test_no_args_usage(capsys):
 def test_unknown_command(capsys):
     code, _, err = run(capsys)
     assert code == 2
+
+
+def test_a_bare_command_is_argparse_usage_error(capsys):
+    code, out, err = run(capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: nambucat [-h] ")
+    assert err.splitlines()[-1] == "nambucat: error: the following arguments are required: command"
 
 
 # ---------------------------------------------------------------- unreadable paths
