@@ -73,10 +73,8 @@ def _applicable(obj, defaults: bool = False) -> List[str]:
                            if claimed or not defaults]
     elif isinstance(a, HomLeibnizAlgebra):
         return ["leibniz"]
-    elif isinstance(a, HomAssocNAry):
+    else:       # hom_assoc, the last kind fileio loads
         return ["assoc"]
-    else:
-        raise FileFormatError(f"cannot verify a {type(obj).__name__}")
     return sel + (["quadratic"] if quad is not None else [])
 
 
@@ -120,7 +118,8 @@ def _emit_reports(path: str, reports: List[CheckReport], fmt: str) -> None:
 
 
 def cmd_verify(args) -> int:
-    obj, loaded = fileio.load_checked(args.file, args.max_tuples)
+    loaded: Dict[str, CheckReport] = {}
+    obj = fileio.load(args.file, max_tuples=args.max_tuples, reports=loaded)
     selectors = args.selectors or _applicable(obj, defaults=True)
     applicable = _applicable(obj)
     reports = []
@@ -245,7 +244,8 @@ def cmd_report(args) -> int:
     rows = []
     for path in args.files:
         try:
-            obj, loaded = fileio.load_checked(path, args.max_tuples)
+            loaded: Dict[str, CheckReport] = {}
+            obj = fileio.load(path, max_tuples=args.max_tuples, reports=loaded)
             a, quad = _unwrap(obj)
             checks = [_run_check(obj, s, args.max_tuples, loaded)
                       for s in _applicable(obj, defaults=True)]
@@ -290,13 +290,17 @@ class _Parser(argparse.ArgumentParser):
         return namespace, stray
 
 
-class _NonNegative(argparse.Action):
-    """Stores an int option; a negative value is a usage error (exit 2)."""
+def _at_least(least: int) -> type:
+    """An action that stores an int option; a value below ``least`` is a
+    usage error (exit 2)."""
 
-    def __call__(self, parser, namespace, value, option_string=None):
-        if value < 0:
-            raise argparse.ArgumentError(self, f"N must be >= 0, got {value}")
-        setattr(namespace, self.dest, value)
+    class AtLeast(argparse.Action):
+        def __call__(self, parser, namespace, value, option_string=None):
+            if value < least:
+                raise argparse.ArgumentError(
+                    self, f"{self.metavar} must be >= {least}, got {value}")
+            setattr(namespace, self.dest, value)
+    return AtLeast
 
 
 # construction: (its number of input files, the options it reads)
@@ -309,7 +313,8 @@ CONSTRUCTIONS = {
                   "--omega": dict(help="involution matrix file")}),
     "trace-ternary": (1, {"--gamma": dict(required=True, help="second twist matrix file"),
                           "--tau": dict(required=True, help="trace vector file")}),
-    "raise": (1, {"-k": dict(type=int, default=1, help="iteration count")}),
+    "raise": (1, {"-k": dict(type=int, default=1, metavar="K", action=_at_least(1),
+                             help="iteration count")}),
     "reduce": (1, {"--fixed": dict(action="append", required=True,
                                    help="vector file of a fixed argument; repeatable")}),
     "centroid-bracket": (1, {"--theta": dict(required=True,
@@ -328,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     fmt.add_argument("--format", choices=("json", "text"),
                      default=argparse.SUPPRESS, help="report output format")
     budget = argparse.ArgumentParser(add_help=False)
-    budget.add_argument("--max-tuples", type=int, metavar="N", action=_NonNegative,
+    budget.add_argument("--max-tuples", type=int, metavar="N", action=_at_least(0),
                         default=argparse.SUPPRESS,
                         help="abort any single check needing more than N basis tuples")
     # allow_abbrev=False: an option is read only under its full name

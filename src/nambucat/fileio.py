@@ -252,11 +252,18 @@ def _decode(doc: dict, verify: bool, max_tuples: Optional[int],
 
 def loads(text: str, verify: bool = True,
           max_tuples: Optional[int] = None) -> AlgebraLike:
+    return _decode(_parse(text), verify, max_tuples, {})
+
+
+def _parse(text: str) -> dict:
+    """The JSON object a text holds."""
     try:
         doc = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as e:
         raise FileFormatError(f"invalid JSON: {e}")
-    return from_document(doc, verify=verify, max_tuples=max_tuples)
+    if not isinstance(doc, dict):
+        raise FileFormatError("top level must be a JSON object")
+    return doc
 
 
 def save(obj: AlgebraLike, path, name: Optional[str] = None,
@@ -265,21 +272,17 @@ def save(obj: AlgebraLike, path, name: Optional[str] = None,
         fh.write(dumps(obj, name, provenance))
 
 
-def load(path, verify: bool = True, max_tuples: Optional[int] = None) -> AlgebraLike:
+def load(path, verify: bool = True, max_tuples: Optional[int] = None,
+         reports: Optional[Dict[str, CheckReport]] = None) -> AlgebraLike:
     """Read an algebra file; the flag checks it triggers honour ``max_tuples``.
+    With ``verify``, the reports of the flag checks that ran while the file
+    loaded are put in ``reports``, keyed by identity, when it is given, so
+    that a caller can reuse them rather than run the same checks again.
     It reads through ``load_document``'s reader, not through ``load_document``
     itself: the benchmark's tracer adds up the bytes of both public readers,
     and would count the file twice."""
-    return _decode(_read_document(path), verify, max_tuples, {})
-
-
-def load_checked(path, max_tuples: Optional[int] = None
-                 ) -> Tuple[AlgebraLike, Dict[str, CheckReport]]:
-    """``load`` with verification, returning as well the reports of the flag
-    checks that ran while the file loaded, keyed by identity, so that a caller
-    can reuse them rather than run the same checks again."""
-    reports: Dict[str, CheckReport] = {}
-    return _decode(load_document(path), True, max_tuples, reports), reports
+    return _decode(_read_document(path), verify, max_tuples,
+                   {} if reports is None else reports)
 
 
 def load_document(path) -> dict:
@@ -292,14 +295,10 @@ def _read_document(path) -> dict:
     UTF-8 text fails like a malformed one, with the error's own message."""
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            text = fh.read()
     except (OSError, UnicodeDecodeError) as e:
         raise FileFormatError(str(e))
-    except (json.JSONDecodeError, RecursionError) as e:
-        raise FileFormatError(f"invalid JSON: {e}")
-    if not isinstance(doc, dict):
-        raise FileFormatError("top level must be a JSON object")
-    return doc
+    return _parse(text)
 
 
 def subspace_to_document(s: SubspaceBasis) -> dict:

@@ -271,54 +271,35 @@ def varsigma_hom_lie(a: HomNambuAlgebra,
     reports."""
     levels = sorted(levels)
     alpha = a.twist
-    level_bases: Dict[int, SubspaceBasis] = {
-        k: compute_derivations(a, k) for k in levels
-    }
+    flats: Dict[int, List[Vector]] = {}
     elems: List[Tuple[int, Matrix]] = []
     offsets: Dict[int, int] = {}
     for k in levels:
+        basis = compute_derivations(a, k).basis
+        flats[k] = [b.flatten() for b in basis]
         offsets[k] = len(elems)
-        elems.extend((k, m) for m in level_bases[k].basis)
+        elems.extend((k, m) for m in basis)
     dim = len(elems)
 
-    def coords_in_level(k: int, m: Matrix) -> Optional[Vector]:
-        basis = level_bases[k].basis
-        flats = [b.flatten() for b in basis]
-        coeffs = in_span(flats, m.flatten())
-        if coeffs is None:
-            return None
+    def image(k: int, m: Matrix, what: str) -> Vector:
+        """m in the coordinates of the graded space; zero outside the window."""
         v = [Fraction(0)] * dim
-        for i, c in enumerate(coeffs.entries):
-            v[offsets[k] + i] = c
+        if k in offsets:
+            coeffs = in_span(flats[k], m.flatten())
+            if coeffs is None:
+                raise ValueError(f"{what} left the level-{k} space")
+            v[offsets[k]:offsets[k] + len(coeffs.entries)] = coeffs.entries
         return Vector.trusted(v)
 
     items: Dict[Tuple[int, ...], Vector] = {}
     for i, (ki, mi) in enumerate(elems):
         for j, (kj, mj) in enumerate(elems):
-            target = ki + kj + 1
-            if target not in offsets:
-                continue
-            m = alpha @ (mi @ mj - mj @ mi)
-            if m.is_zero():
-                continue
-            v = coords_in_level(target, m)
-            if v is None:
-                raise ValueError(
-                    f"bracket of levels {ki} and {kj} left the level-{target} space")
+            v = image(ki + kj + 1, alpha @ (mi @ mj - mj @ mi),
+                      f"bracket of levels {ki} and {kj}")
             if not v.is_zero():
                 items[(i, j)] = v
-
-    sigma_cols = []
-    for (k, m) in elems:
-        target = k + 1
-        if target in offsets:
-            v = coords_in_level(target, alpha @ m)
-            if v is None:
-                raise ValueError(f"shift of a level-{k} element left the level-{target} space")
-            sigma_cols.append(v)
-        else:
-            sigma_cols.append(Vector.zero(dim))
-    sigma = Matrix.from_columns(sigma_cols) if dim else Matrix.zero(0, 0)
+    sigma = Matrix.from_columns([image(k + 1, alpha @ m, f"shift of a level-{k} element")
+                                 for k, m in elems])
 
     out = HomLeibnizAlgebra(dim, BracketTensor(dim, 2, items), sigma)
     jacobi = check_hom_leibniz(out)
@@ -343,18 +324,13 @@ def tensor_centroid_derivation(h: HomAssocNAry, a: HomNambuAlgebra,
     from .linalg import kron
     if not assoc_centroid_membership(h, f, k).passed:
         raise ValueError("f is not a centroid element of the associative factor")
-    if mode == "centroid":
-        if not centroid_membership(a, g, k).passed:
-            raise ValueError("g is not a centroid element at its level")
-    elif mode == "derivation":
-        if not derivation_membership(a, g, k).passed:
-            raise ValueError("g is not a derivation at its level")
-    else:
+    checks = {"centroid": (centroid_membership, "a centroid element"),
+              "derivation": (derivation_membership, "a derivation")}
+    if mode not in checks:
         raise ValueError("mode must be 'centroid' or 'derivation'")
+    membership, name = checks[mode]
+    if not membership(a, g, k).passed:
+        raise ValueError(f"g is not {name} at its level")
     prod = tensor_product(h, a, verify=False)
     m = kron(f, g)
-    if mode == "centroid":
-        report = centroid_membership(prod, m, k)
-    else:
-        report = derivation_membership(prod, m, k)
-    return m, report
+    return m, membership(prod, m, k)

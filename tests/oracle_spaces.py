@@ -3,14 +3,21 @@ dense Gauss-Jordan elimination that ``nambucat.spaces`` and
 ``nambucat.linalg`` used before they became sparse and incremental.  Every
 unknown gets its own ``pattern.value`` lookup, and every row is a dense list
 of Fractions.  Tests compare the library against it.
+
+``varsigma_hom_lie`` and ``tensor_centroid_derivation`` are the library's
+functions as they were before their coordinate and mode lookups were each
+folded into one step.
 """
 
 from fractions import Fraction
-from typing import List, Optional
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from nambucat.algebra import all_tuples
+from nambucat.algebra import BracketTensor, HomAssocNAry, HomLeibnizAlgebra, all_tuples
+from nambucat.checks import check_hom_leibniz, check_skew_symmetry
 from nambucat.linalg import Matrix, Vector
-from nambucat.spaces import SubspaceBasis, _twist_power
+from nambucat.spaces import (SubspaceBasis, _twist_power, assoc_centroid_membership,
+                             centroid_membership, compute_derivations,
+                             derivation_membership)
 
 
 def _rref(rows: list) -> tuple:
@@ -206,3 +213,83 @@ def central_derivations(a) -> SubspaceBasis:
                 row[r * d + s] = u[s]
             rows.append(row)
     return _matrix_nullspace_basis(rows, d)
+
+
+def varsigma_hom_lie(a, levels: Sequence[int] = (-1, 0, 1, 2)):
+    levels = sorted(levels)
+    alpha = a.twist
+    level_bases: Dict[int, SubspaceBasis] = {
+        k: compute_derivations(a, k) for k in levels
+    }
+    elems: List[Tuple[int, Matrix]] = []
+    offsets: Dict[int, int] = {}
+    for k in levels:
+        offsets[k] = len(elems)
+        elems.extend((k, m) for m in level_bases[k].basis)
+    dim = len(elems)
+
+    def coords_in_level(k: int, m: Matrix) -> Optional[Vector]:
+        basis = level_bases[k].basis
+        flats = [b.flatten() for b in basis]
+        coeffs = in_span(flats, m.flatten())
+        if coeffs is None:
+            return None
+        v = [Fraction(0)] * dim
+        for i, c in enumerate(coeffs.entries):
+            v[offsets[k] + i] = c
+        return Vector.trusted(v)
+
+    items: Dict[Tuple[int, ...], Vector] = {}
+    for i, (ki, mi) in enumerate(elems):
+        for j, (kj, mj) in enumerate(elems):
+            target = ki + kj + 1
+            if target not in offsets:
+                continue
+            m = alpha @ (mi @ mj - mj @ mi)
+            if m.is_zero():
+                continue
+            v = coords_in_level(target, m)
+            if v is None:
+                raise ValueError(
+                    f"bracket of levels {ki} and {kj} left the level-{target} space")
+            if not v.is_zero():
+                items[(i, j)] = v
+
+    sigma_cols = []
+    for (k, m) in elems:
+        target = k + 1
+        if target in offsets:
+            v = coords_in_level(target, alpha @ m)
+            if v is None:
+                raise ValueError(f"shift of a level-{k} element left the level-{target} space")
+            sigma_cols.append(v)
+        else:
+            sigma_cols.append(Vector.zero(dim))
+    sigma = Matrix.from_columns(sigma_cols) if dim else Matrix.zero(0, 0)
+
+    out = HomLeibnizAlgebra(dim, BracketTensor(dim, 2, items), sigma)
+    jacobi = check_hom_leibniz(out)
+    skew = check_skew_symmetry(out.as_nambu())
+    return out, jacobi, skew
+
+
+def tensor_centroid_derivation(h: HomAssocNAry, a, f: Matrix, g: Matrix, mode: str, k: int):
+    from nambucat.constructions import tensor_product
+    from nambucat.linalg import kron
+    if not assoc_centroid_membership(h, f, k).passed:
+        raise ValueError("f is not a centroid element of the associative factor")
+    if mode == "centroid":
+        if not centroid_membership(a, g, k).passed:
+            raise ValueError("g is not a centroid element at its level")
+    elif mode == "derivation":
+        if not derivation_membership(a, g, k).passed:
+            raise ValueError("g is not a derivation at its level")
+    else:
+        raise ValueError("mode must be 'centroid' or 'derivation'")
+    prod = tensor_product(h, a, verify=False)
+    m = kron(f, g)
+    if mode == "centroid":
+        report = centroid_membership(prod, m, k)
+    else:
+        report = derivation_membership(prod, m, k)
+    return m, report

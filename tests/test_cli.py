@@ -177,6 +177,23 @@ def test_false_claim_runs_its_check_once(capsys, monkeypatch, tmp_path):
     assert calls == {"check_multiplicativity": 2}
 
 
+def test_verify_and_report_read_each_file_through_load(capsys, monkeypatch):
+    """``fileio.load`` is the one loader: ``verify`` calls it once, and
+    ``report`` once per file."""
+    calls = []
+    load = fileio.load
+
+    def counted(path, *args, **kwargs):
+        calls.append(path)
+        return load(path, *args, **kwargs)
+    monkeypatch.setattr(fileio, "load", counted)
+    assert run(capsys, "verify", cp("sl2"))[0] == 0
+    assert calls == [cp("sl2")]
+    calls.clear()
+    assert run(capsys, "report", cp("sl2"), cp("example1"))[0] == 0
+    assert calls == [cp("sl2"), cp("example1")]
+
+
 def _repro_documents(tmp_path):
     """A ternary skew bracket [e1, e2, e3] = e3 under two distinct twists,
     once with a skew claim and its one stored entry, once as its dense twin
@@ -403,6 +420,19 @@ def test_construct_raise(capsys, tmp_path):
     obj = fileio.load(out)
     assert obj.algebra.arity == 5
     assert run(capsys, "verify", str(out), "nambu")[0] == 0
+
+
+@pytest.mark.parametrize("name, k", [("heisenberg3", "0"), ("example1", "-1")])
+def test_construct_raise_k_below_one_is_a_usage_error(capsys, tmp_path, name, k):
+    """k = 0 would write the input unchecked, and a negative k has no
+    meaning: both are refused by the parser, and nothing is written."""
+    out = tmp_path / "raised.json"
+    code, stdout, err = run(capsys, "construct", "raise", cp(name), "-k", k, "-o", str(out))
+    assert (code, stdout) == (2, "")
+    assert err.startswith("usage: nambucat construct raise ")
+    assert err.splitlines()[-1].endswith(f"error: argument -k: K must be >= 1, got {k}")
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_construct_reduce(capsys, tmp_path):

@@ -7,8 +7,10 @@ from pathlib import Path
 
 import pytest
 
-from nambucat import (HomLeibnizAlgebra, Matrix, TupleBudgetExceeded, Vector,
-                      corpus, fileio)
+from nambucat import (HomLeibnizAlgebra, Matrix, QuadraticStructure,
+                      TupleBudgetExceeded, Vector, corpus, fileio)
+from nambucat.checks import (check_hom_nambu_identity, check_multiplicativity,
+                             check_quadratic, check_skew_symmetry)
 from nambucat.fileio import FileFormatError, FlagVerificationError
 
 
@@ -64,6 +66,30 @@ def test_load_time_check_honours_budget(tmp_path):
         fileio.load(path, max_tuples=63)
     assert fileio.load(path, max_tuples=64) == fileio.load(path)
     assert fileio.load(path, verify=False, max_tuples=1) == fileio.load(path)
+
+
+@pytest.mark.parametrize("name, identities", [
+    ("simple3lie4", ["multiplicativity"]),
+    ("sl2", ["hom_nambu_identity", "multiplicativity", "quadratic", "skew_symmetry"])])
+def test_load_fills_reports_with_its_flag_checks(name, identities):
+    """The reports of the flag checks a load runs are put in ``reports`` by
+    identity, each equal to a fresh run of its check; without verification
+    none runs and ``reports`` stays empty."""
+    reports = {}
+    obj = fileio.load(_path(name), reports=reports)
+    assert obj == fileio.load(_path(name))
+    assert sorted(reports) == identities
+    a = getattr(obj, "algebra", obj)
+    fresh = {"multiplicativity": lambda: check_multiplicativity(a),
+             "skew_symmetry": lambda: check_skew_symmetry(a),
+             "hom_nambu_identity": lambda: check_hom_nambu_identity(a),
+             "quadratic": lambda: check_quadratic(QuadraticStructure(a, obj.form))}
+    for identity, r in reports.items():
+        assert r.identity == identity
+        assert r.to_json() == fresh[identity]().to_json()
+    unverified = {}
+    assert fileio.load(_path(name), verify=False, reports=unverified) == obj
+    assert unverified == {}
 
 
 def test_flag_error_carries_report():
