@@ -152,14 +152,13 @@ class BracketTensor:
         acc: Dict[Tuple[int, ...], Vector] = {}
         summed = set()      # the keys of several terms, the only ones that may cancel
         for key, vec in self.coeffs.items():
-            neg = -vec
             for p, k in enumerate(key):
                 rest = key[:p] + key[p + 1:]
                 if rest not in minors:
                     minors[rest] = _row_minors(m, rest)
                 for cols, c in minors[rest].items():
                     c = -c if (p - slot) % 2 else c
-                    term = vec if c == 1 else neg if c == -1 else vec.scale(c)
+                    term = vec.scale(c)
                     t = cols[:slot] + (k,) + cols[slot:]
                     if t in acc:
                         acc[t] = acc[t] + term

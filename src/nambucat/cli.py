@@ -134,11 +134,10 @@ def cmd_verify(args) -> int:
 
 
 def _as_quadratic(obj, what: str) -> QuadraticStructure:
-    if isinstance(obj, QuadraticStructure):
-        return obj
-    if isinstance(obj, HomNambuAlgebra):
-        return QuadraticStructure(obj, BilinearForm.standard(obj.dim))
-    raise UsageError(f"{what}: expected an n-ary algebra file")
+    a, quad = _unwrap(obj)      # a form-less n-ary algebra gets the identity form
+    if quad is None and not isinstance(a, HomNambuAlgebra):
+        raise UsageError(f"{what}: expected an n-ary algebra file")
+    return quad if quad is not None else QuadraticStructure(a, BilinearForm.standard(a.dim))
 
 
 def _as_nambu(obj, what: str) -> HomNambuAlgebra:
@@ -172,12 +171,11 @@ def cmd_construct(args) -> int:
         out = constructions.tstar_extension(a, form, omega=omega,
                                             max_tuples=budget).structure
     elif sub == "trace-ternary":
-        l = objs[0]
-        if isinstance(l, (QuadraticStructure, HomNambuAlgebra)):
-            a = _as_nambu(l, sub)
-            if a.arity != 2:
+        l = _unwrap(objs[0])[0]
+        if isinstance(l, HomNambuAlgebra):
+            if l.arity != 2:
                 raise UsageError("trace-ternary input must be binary")
-            l = HomLeibnizAlgebra(a.dim, a.bracket, a.twists[0])
+            l = HomLeibnizAlgebra(l.dim, l.bracket, l.twists[0])
         if not isinstance(l, HomLeibnizAlgebra):
             raise UsageError("trace-ternary input must be a binary algebra file")
         gamma = fileio.matrix_from_file(args.gamma, l.dim)
@@ -195,8 +193,8 @@ def cmd_construct(args) -> int:
         out = constructions.centroid_twisted_bracket(
             a, fileio.matrix_from_file(args.theta, a.dim), args.p, max_tuples=budget)
     elif sub == "pullback-form":
-        q = objs[0]
-        if not isinstance(q, QuadraticStructure):
+        q = _unwrap(objs[0])[1]
+        if q is None:
             raise UsageError("pullback-form input must carry a form")
         form = constructions.pullback_form(q.form, fileio.matrix_from_file(args.map, q.form.dim))
         out = QuadraticStructure(q.algebra, form, beta=q.beta)
@@ -226,7 +224,7 @@ def cmd_solve(args) -> int:
         raise UsageError(f"twist power k must be >= -1 (alpha^-1 = 0, alpha^0 = id), "
                          f"got {args.k}")
     obj = fileio.load(args.file, max_tuples=args.max_tuples)
-    a = _as_nambu(_unwrap(obj)[0], "solve")
+    a = _as_nambu(obj, "solve")
     basis = (spaces.compute_centroid(a, args.k) if args.space == "centroid"
              else spaces.compute_derivations(a, args.k) if args.space == "derivations"
              else spaces.compute_center(a) if args.space == "center"

@@ -16,7 +16,8 @@ zeros, identities and basis vectors) and every value the engine already holds
 as Fractions (decoded files, elimination results and the kernels' row tables)
 is wrapped by ``Vector.trusted`` or ``Matrix.trusted``, which take the
 entries as they are: a sum or product of Fractions is a Fraction.  ``scale``
-still coerces its scalar.
+still coerces its scalar; ``Vector.scale`` by 1 or -1 returns the vector or
+its negation.
 """
 
 from __future__ import annotations
@@ -107,7 +108,8 @@ class Vector:
 
     def scale(self, c: Rational) -> "Vector":
         c = frac(c)
-        return Vector.trusted(c * a for a in self.entries)
+        return (self if c == 1 else -self if c == -1
+                else Vector.trusted(c * a for a in self.entries))
 
     def dot(self, other: "Vector") -> Fraction:
         if self.dim != other.dim:

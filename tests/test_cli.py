@@ -511,6 +511,37 @@ def test_construct_pullback_form_refuses_a_degenerate_form(capsys, tmp_path, nam
     assert not out.exists()
 
 
+# every construction that reads an n-ary algebra, with options sl2 admits:
+# alpha3 is an involutive automorphism of sl2, gamma3 the identity, tau3 = e3
+# and killing its form
+SL2_CONSTRUCTIONS = ["raise sl2", "self-twist sl2", "leibniz sl2", "tstar sl2 --form killing",
+                     "twist sl2 --rho alpha3", "centroid-bracket sl2 --theta gamma3",
+                     "pullback-form sl2 --map gamma3",
+                     "trace-ternary sl2 --gamma gamma3 --tau tau3"]
+
+
+@pytest.mark.parametrize("words", SL2_CONSTRUCTIONS)
+def test_constructions_read_a_quadratic_lie_file_as_its_hom_nambu_twin(capsys, tmp_path,
+                                                                      words):
+    """A quadratic_lie file is the hom_nambu file with its bracket, twist,
+    flags and form: each construction writes the same document, metadata
+    aside, on either, and verify passes it."""
+    doc = json.loads(Path(cp("sl2")).read_text())
+    twin = tmp_path / "twin.json"
+    twin.write_text(json.dumps(dict(doc, kind="hom_nambu")))
+    killing = tmp_path / "killing.json"
+    killing.write_text(json.dumps({"matrix": doc["form"]}))
+    argv = [str(killing) if w == "killing" else w for w in _argv(words, tmp_path)]
+    written = []
+    for i, path in enumerate((cp("sl2"), str(twin))):
+        out = tmp_path / f"out-{i}.json"
+        argv[1] = path
+        assert run(capsys, "construct", *argv, "-o", str(out)) == (0, f"wrote {out}\n", "")
+        assert run(capsys, "verify", str(out))[0] == 0
+        written.append({k: v for k, v in json.loads(out.read_text()).items() if k != "metadata"})
+    assert written[0] == written[1]
+
+
 def test_construct_missing_option(capsys, tmp_path):
     out = tmp_path / "x.json"
     code, _, err = run(capsys, "construct", "twist", cp("simple3lie4"),

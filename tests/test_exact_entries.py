@@ -153,6 +153,27 @@ def test_scale_still_refuses_what_frac_refuses(scalar):
         assert got[0] == "raises" and got == outcome(old, arg, scalar)
 
 
+# the paper's structure constants 1 and -1 in every spelling scale takes,
+# and scalars that are not units
+UNIT_AND_OTHER_SCALARS = [1, -1, 0, 2, F(-1, 3), "1", "-1", F(1), F(-1)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.sampled_from([F(0), F(0), F(1), F(-1), F(2, 3), F(-5, 7), F(7, 2), F(-4)]),
+                max_size=6))
+def test_scale_by_a_unit_matches_the_coercing_oracle(values):
+    """Vector.scale returns the vector or its negation for 1 and -1, and a
+    product for any other scalar: each equal to the oracle's multiplied
+    entries, and Fractions only.  A bool is still refused."""
+    u = Vector(values)
+    for c in UNIT_AND_OTHER_SCALARS:
+        got = u.scale(c)
+        assert got == oracle_linalg.vector_scale(u, c), c
+        assert fractions_only(got.entries), c
+    got = outcome(Vector.scale, u, True)
+    assert got[:2] == ("raises", TypeError) and got == outcome(oracle_linalg.vector_scale, u, True)
+
+
 def test_zero_and_basis_share_their_fractions():
     """zero, identity and basis entries are the module's Fraction(0) and
     Fraction(1), shared across calls."""
