@@ -27,9 +27,13 @@ tensor, since that storage is alternating by construction, and two
 skew-storage tensors are compared on their stored keys.
 
 One loop over all tuples is left: the fundamental identity outside that
-shortcut.  A faster kernel lets a benchmark run fit more passes, and the
-benchmark's memory reading grows with them, so the loop stays until that
-reading no longer counts speed as a memory regression (ROADMAP item 1).
+shortcut.  It reads its rows from tables: the nonzero coordinates of every
+nonzero [y], built once, and for each x the rows [a(x), e_j] and the nonzero
+coordinates of [x, e_k].  Its ``Fraction`` sums are those of the
+tuple-by-tuple loop.  A faster kernel lets a benchmark run fit more passes,
+and the benchmark's memory reading grows with them, so the sums stay as they
+are until that reading no longer counts speed as a memory regression
+(ROADMAP item 1).
 """
 
 from __future__ import annotations
@@ -186,22 +190,25 @@ def check_hom_nambu_identity(a: HomNambuAlgebra,
     top = C.transform(list(a.twists) + [None])
     # right side, term i: slot i free, slots j<i carry a_j, slots j>i carry a_{j-1}
     side = [C.transform(_twist_slots(a.twists, n, i)) for i in range(n)]
+    # the nonzero coordinates (j, c) of [y], for every nonzero [y]
+    nonzero = {y: [(j, c) for j, c in enumerate(w.entries) if c]
+               for y, w in _entries(C).items()}
 
     checked = 0
     for x in all_tuples(d, n - 1):
+        rows = [top.value(x + (j,)) for j in range(d)]
+        # the nonzero coordinates of [x, e_k] for every k
+        brackets = [[(j, c) for j, c in enumerate(C.value(x + (k,)).entries) if c]
+                    for k in range(d)]
         for y in all_tuples(d, n):
             checked += 1
-            w = C.value(y)
             lhs = Vector.zero(d)
-            for j, wj in enumerate(w.entries):
-                if wj:
-                    lhs = lhs + top.value(x + (j,)).scale(wj)
+            for j, c in nonzero.get(y, ()):
+                lhs = lhs + rows[j].scale(c)
             rhs = Vector.zero(d)
             for i in range(n):
-                v = C.value(x + (y[i],))
-                for j, vj in enumerate(v.entries):
-                    if vj:
-                        rhs = rhs + side[i].value(y[:i] + (j,) + y[i + 1:]).scale(vj)
+                for j, c in brackets[y[i]]:
+                    rhs = rhs + side[i].value(y[:i] + (j,) + y[i + 1:]).scale(c)
             if lhs != rhs:
                 return CheckReport("hom_nambu_identity", False,
                                    Counterexample(x + y, lhs, rhs), checked)

@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import (BilinearForm, BracketTensor, HomAssocNAry,
                       HomLeibnizAlgebra, HomNambuAlgebra, QuadraticStructure)
-from .checks import (CheckReport, check_hom_leibniz, check_hom_nambu_identity,
+from .checks import (CheckReport, _budget, check_hom_leibniz, check_hom_nambu_identity,
                      check_morphism, check_multiplicativity, check_quadratic,
                      check_skew_symmetry)
 from .linalg import Matrix, Vector, kron
@@ -165,6 +165,8 @@ def induced_hom_leibniz(a: HomNambuAlgebra,
     if not a.multiplicative:
         raise ConstructionError("input must be multiplicative")
     n, d = a.arity, a.dim
+    if verify:      # the identity check's budget, before the dense build
+        _budget((d ** (n - 1)) ** 3, max_tuples)
     alpha = a.twist
     # [u, v] is the sum over factors i of L(u) on factor i and alpha on the
     # others: u is read by the bracket's first n-1 slots, and factor j of v by

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import oracle_checks as oracle
 import oracle_skew
-from conftest import entries, filippov, matrix, skew_tensors, slot_maps
+from conftest import coef, entries, filippov, matrix, skew_tensors, slot_maps
 from nambucat import (BilinearForm, BracketTensor, HomAssocNAry,
                       HomLeibnizAlgebra, HomNambuAlgebra, Matrix,
                       QuadraticStructure, TupleBudgetExceeded, Vector, corpus)
@@ -93,8 +93,7 @@ def _leibniz_oracle(l, max_tuples=None):
 
 
 def _compare_nambu(a, maps, levels=LEVELS):
-    if a.skew:      # dense storage runs the oracle's own loop
-        _same(check_hom_nambu_identity, _identity_oracle, a)
+    _same(check_hom_nambu_identity, _identity_oracle, a)
     _same(check_skew_symmetry, oracle.skew_symmetry, a)
     _same(check_multiplicativity, oracle.multiplicativity, a)
     for f in maps:
@@ -167,7 +166,8 @@ def test_dense_twins_get_the_skew_verdict(name):
         a = filippov(int(name[1:]))
     else:
         a = _algebra(corpus.load(name))
-    report = check_hom_nambu_identity(_dense(a))    # the oracle's own loop
+    report = check_hom_nambu_identity(_dense(a))
+    assert report.to_json() == oracle.hom_nambu_identity(_dense(a)).to_json()
     if report.passed:
         assert report.tuples_checked == a.dim ** (2 * a.arity - 1)
     skew = check_hom_nambu_identity(a)
@@ -392,6 +392,78 @@ def test_skew_perturbations_fail_at_inner_tuples():
                 r = check_hom_nambu_identity(b)
                 if comb(d, n) < r.tuples_checked < count:
                     inner.add((d, r.tuples_checked))
+    assert len(inner) >= 4
+
+
+# ------------------------------- the loop over all tuples against the oracle
+
+@st.composite
+def identity_cases(draw):
+    """Filippov's A4 in skew or dense storage under diagonal twists (often
+    failing past the first x), or a random bracket of arity 2 or 3: in dense
+    storage on at most 3 dimensions (absent rows are zero, entries have
+    denominators up to 3) or in skew storage on at most 4, sparse or full.
+    Identity, one common or distinct twists, and no tuple budget or one next
+    to the tuple count."""
+    skew = draw(st.booleans())
+    if draw(st.booleans()):
+        d, n, C = 4, 3, filippov(4).bracket
+        if not skew:
+            C = BracketTensor(d, n, dict(C.dense_items()))
+        def twist():
+            return Matrix.diagonal(draw(st.lists(st.sampled_from((1, -1, 0, 2)),
+                                                 min_size=d, max_size=d)))
+    else:
+        n = draw(st.integers(2, 3))
+        d = draw(st.integers(n, 4) if skew else st.integers(1, 3))
+        keys = list(itertools.combinations(range(d), n) if skew else all_tuples(d, n))
+        keys = draw(st.lists(st.sampled_from(keys), unique=True,
+                             max_size=draw(st.sampled_from((2, len(keys))))))
+        C = BracketTensor(d, n, {t: Vector(draw(st.lists(coef, min_size=d, max_size=d)))
+                                 for t in keys}, skew_storage=skew)
+        def twist():
+            return matrix(draw, d, d)
+    kind = draw(st.sampled_from(("identity", "common", "distinct")))
+    if kind == "distinct":
+        twists = tuple(twist() for _ in range(n - 1))
+    else:
+        twists = (Matrix.identity(d) if kind == "identity" else twist(),) * (n - 1)
+    a = HomNambuAlgebra(d, n, C, twists)
+    count = (comb(d, n - 1) * comb(d, n) if skew and _twists_equal(a)
+             else d ** (2 * n - 1))
+    return a, draw(st.one_of(st.none(), st.integers(count - 1, count + 1)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(identity_cases())
+def test_identity_matches_oracle(case):
+    """The fundamental identity reads its rows from tables built once per x;
+    every report (verdict, first counterexample and tuples_checked) and every
+    budget refusal equals the oracle's loop over tuples."""
+    a, budget = case
+    try:
+        want = _identity_oracle(a, budget).to_json()
+    except TupleBudgetExceeded as e:
+        with pytest.raises(TupleBudgetExceeded, match=re.escape(str(e))):
+            check_hom_nambu_identity(a, budget)
+        return
+    assert check_hom_nambu_identity(a, budget).to_json() == want
+
+
+def test_dense_perturbations_fail_at_inner_tuples():
+    """Adding a basis vector to one entry of the dense twin of example1,
+    which has twist diag(1, 1, -1), fails the identity at tuples past the
+    first x and short of the last tuple; every report matches."""
+    a = _dense(BASES["example1"])
+    d, n = a.dim, a.arity
+    inner = set()
+    for t in all_tuples(d, n):
+        for k in range(d):
+            b = replace(a, bracket=_perturb(a.bracket, t, Vector.basis(d, k), False))
+            _same(check_hom_nambu_identity, oracle.hom_nambu_identity, b)
+            r = check_hom_nambu_identity(b)
+            if d ** n < r.tuples_checked < d ** (2 * n - 1):
+                inner.add(r.tuples_checked)
     assert len(inner) >= 4
 
 

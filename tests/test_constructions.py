@@ -18,7 +18,7 @@ from nambucat import (BilinearForm, BracketTensor, ConstructionError,
                       twist_by_morphism)
 from nambucat.algebra import all_tuples, eval_bracket
 from nambucat.faulkner import faulkner_ternary
-from conftest import zero_algebra
+from conftest import filippov, zero_algebra
 
 
 def sign4():
@@ -102,6 +102,18 @@ def test_induced_leibniz_binary_case(heis):
     for t in all_tuples(3, 2):
         assert lb.bracket.value(t) == heis.bracket.value(t)
     assert check_hom_leibniz(lb).passed
+
+
+def test_induced_leibniz_budget_comes_before_the_build(monkeypatch):
+    """The identity check of the 125-dim induced Leibniz algebra of A5 needs
+    125^3 tuples: a smaller budget refuses it, with the check's own message,
+    before the dense bracket is built."""
+    def no_build(*args, **kwargs):
+        raise AssertionError("the bracket was built")
+    monkeypatch.setattr(BracketTensor, "kron", no_build)
+    with pytest.raises(checks.TupleBudgetExceeded,
+                       match="^check needs 1953125 basis tuples, budget is 1000$"):
+        induced_hom_leibniz(filippov(5), max_tuples=1000)
 
 
 def test_tstar_extension(s4):
