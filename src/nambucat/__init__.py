@@ -11,11 +11,11 @@ from .checks import (CheckReport, Counterexample, TupleBudgetExceeded,
                      check_morphism, check_multiplicativity, check_quadratic,
                      check_representation, check_skew_symmetry,
                      check_total_hom_associativity)
-from .constructions import (ConstructionError, TStarResult,
-                            centroid_twisted_bracket, induced_hom_leibniz,
-                            pullback_form, raise_arity, reduce_arity,
-                            self_twist, tensor_product, trace_induced_ternary,
-                            tstar_extension, twist_by_morphism)
+from .constructions import (ConstructionError, centroid_twisted_bracket,
+                            induced_hom_leibniz, pullback_form, raise_arity,
+                            reduce_arity, self_twist, tensor_product,
+                            trace_induced_ternary, tstar_extension,
+                            twist_by_morphism)
 from .faulkner import (QuadraticLieAlgebra, check_phi_equivariance,
                        faulkner_ternary, omega_twist_leibniz, phi_map,
                        tensor_leibniz)

@@ -29,7 +29,7 @@ from fractions import Fraction
 from math import prod
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .linalg import Matrix, Vector
+from .linalg import Matrix, Vector, rank
 
 
 def perm_sign(perm: Sequence[int]) -> int:
@@ -532,7 +532,6 @@ class BilinearForm:
 
     @property
     def nondegenerate(self) -> bool:
-        from .linalg import rank
         return rank(self.gram) == self.dim
 
     @classmethod

@@ -406,6 +406,13 @@ def check_representation(a: HomNambuAlgebra, rep, mode: str = "primal",
                          max_tuples: Optional[int] = None) -> CheckReport:
     """Representation identity (primal) or the dual-representation condition.
 
+    This is the commutator condition only.  For n >= 3 a representation of
+    an n-Lie algebra also satisfies a second condition, which expands
+    rho([x_1, .., x_n], y_2, .., y_{n-1}) as a sum of products of two
+    operators; it is not checked, so a passing report does not make the
+    semidirect product of the algebra and the target space a Hom-Nambu
+    algebra.
+
     The inner-twist indexing follows the reading under which the adjoint
     action is a representation: in term i the free slot is i, slots before it
     carry the twists a_1..a_{i-1} and slots after it a_i..a_{n-2}, applied to

@@ -54,11 +54,7 @@ FORMAT_COMMANDS = ("verify", "solve")     # the commands that read --format
 def _unwrap(obj) -> Tuple[object, Optional[QuadraticStructure]]:
     """The algebra of a loaded object and its quadratic structure (None when
     the file carries no form)."""
-    if isinstance(obj, QuadraticLieAlgebra):
-        return obj.algebra, QuadraticStructure(obj.algebra, obj.form)
-    if isinstance(obj, QuadraticStructure):
-        return obj.algebra, obj
-    return obj, None
+    return (obj.algebra, obj) if isinstance(obj, QuadraticStructure) else (obj, None)
 
 
 def _applicable(obj, defaults: bool = False) -> List[str]:
@@ -168,8 +164,7 @@ def cmd_construct(args) -> int:
         form = BilinearForm.standard(a.dim) if args.form in (None, "identity") \
             else BilinearForm(a.dim, fileio.matrix_from_file(args.form, a.dim))
         omega = fileio.matrix_from_file(args.omega, a.dim) if args.omega else None
-        out = constructions.tstar_extension(a, form, omega=omega,
-                                            max_tuples=budget).structure
+        out = constructions.tstar_extension(a, form, omega=omega, max_tuples=budget)
     elif sub == "trace-ternary":
         l = _unwrap(objs[0])[0]
         if isinstance(l, HomNambuAlgebra):

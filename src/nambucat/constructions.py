@@ -3,15 +3,15 @@
 Each transform takes verified input structures, checks the hypotheses it
 needs, builds the new bracket/form data, and re-verifies the advertised
 identities on the output before returning it: every Hom-Nambu algebra
-built goes through one output step, ``_finish``, and the quadratic checks
-follow it.  Hypothesis or verification failures raise ConstructionError
-carrying the failing CheckReport. Every check a transform runs honours its
-``max_tuples`` budget.
+built goes through one output step, ``_finish``, and every structure with a
+form through one more, ``_quadratic``.  Hypothesis or verification failures
+raise ConstructionError carrying the failing CheckReport. Every check a
+transform runs honours its ``max_tuples`` budget.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -68,6 +68,16 @@ def _finish(a: HomNambuAlgebra, what: str, verify: bool, max_tuples: Optional[in
     return a
 
 
+def _quadratic(q: QuadraticStructure, what: str, verify: bool,
+               max_tuples: Optional[int]) -> QuadraticStructure:
+    """The output step of every structure with a form that a construction
+    builds: with ``verify`` its quadratic check is required under the name
+    ``what``."""
+    if verify:
+        _require(check_quadratic(q, max_tuples), what)
+    return q
+
+
 def _twisted(bracket: BracketTensor, out_map: Matrix, twist: Matrix) -> HomNambuAlgebra:
     """A twisting step: ``out_map`` after the bracket, every twist ``twist``."""
     n = bracket.arity
@@ -117,12 +127,13 @@ def tensor_product(h: HomAssocNAry, a: HomNambuAlgebra,
     """Bracket mu(a_1..a_n) (x) [x_1..x_n] on the tensor space, twists the
     slot-wise Kronecker products.
 
-    With forms given, also returns the product form together with its twist
-    (the Kronecker product of the two beta maps)."""
+    With forms given, returns the quadratic structure of the product form,
+    its beta the Kronecker product of the two beta maps."""
     if h.arity != a.arity:
         raise ConstructionError("arity mismatch")
     n = a.arity
     da, dn = h.dim, a.dim
+    _budget((da * dn) ** n, max_tuples)     # the output's skew check, before the build
     bracket = BracketTensor.kron([([h.mu, a.bracket], [[(0, i), (1, i)] for i in range(n)])])
     twists = tuple(kron(h.twists[i], a.twists[i]) for i in range(n - 1))
     out = _finish(HomNambuAlgebra(da * dn, n, bracket, twists), "tensor product algebra",
@@ -146,10 +157,8 @@ def tensor_product(h: HomAssocNAry, a: HomNambuAlgebra,
     beta_a = form_a.beta if form_a.beta is not None else Matrix.identity(dn)
     big_form = BilinearForm(da * dn, kron(ga, form_a.form.gram))
     omega = kron(beta_h, beta_a)
-    result = QuadraticStructure(out, big_form, beta=omega)
-    if verify:
-        _require(check_quadratic(result, max_tuples), "tensor product quadratic structure")
-    return out, result
+    return _quadratic(QuadraticStructure(out, big_form, beta=omega),
+                      "tensor product quadratic structure", verify, max_tuples)
 
 
 def induced_hom_leibniz(a: HomNambuAlgebra,
@@ -186,10 +195,8 @@ def induced_hom_leibniz(a: HomNambuAlgebra,
         raise ConstructionError("induced form needs a Hom-quadratic input with beta = twist")
     _require(check_quadratic(form, max_tuples), "input quadratic structure")
     b_hat = BilinearForm(bracket.dim, kron_power(form.form.gram, n - 1))
-    if verify:
-        invariance = check_quadratic(
-            QuadraticStructure(out.as_nambu(), b_hat, beta=alpha_hat), max_tuples)
-        _require(invariance, "induced form invariance")
+    _quadratic(QuadraticStructure(out.as_nambu(), b_hat, beta=alpha_hat),
+               "induced form invariance", verify, max_tuples)
     return out, b_hat
 
 
@@ -200,26 +207,14 @@ def _blocks(top: Tuple[Matrix, Matrix], bottom: Tuple[Matrix, Matrix]) -> Matrix
                                          for m in half for j in range(d)])
 
 
-@dataclass(frozen=True)
-class TStarResult:
-    """Output of the T*-extension: the quadratic structure on N + N*, plus the
-    twist data when an involution was supplied."""
-
-    structure: QuadraticStructure
-    omega: Optional[Matrix] = None
-    omega_form: Optional[BilinearForm] = None
-
-    @property
-    def algebra(self) -> HomNambuAlgebra:
-        return self.structure.algebra
-
-
 def tstar_extension(a: HomNambuAlgebra, form: BilinearForm,
                     omega: Optional[Matrix] = None, verify: bool = True,
-                    max_tuples: Optional[int] = None) -> TStarResult:
+                    max_tuples: Optional[int] = None) -> QuadraticStructure:
     """Extension on N + N*: the bracket keeps the N part and adds the signed
     coadjoint correction terms; the form is the hyperbolic pairing extended
-    by the original form on the N block."""
+    by the original form on the N block.  With an involution omega, the
+    bracket and twists are twisted by omega + omega^T, which is the output's
+    beta, and the form pulled back by it is verified too."""
     n, d = a.arity, a.dim
     ident = Matrix.identity(d)
     if not a.skew or any(t != ident for t in a.twists):
@@ -230,7 +225,7 @@ def tstar_extension(a: HomNambuAlgebra, form: BilinearForm,
     # skew storage, so every key has its dual index, if any, last: the stored
     # entry (K, v) of C keeps v on the N block, and each entry (rest + (m,), v)
     # with rest increasing puts -v_j at dual coordinate m of rest + (e_j*,)
-    C = a.bracket.skew_canonical()
+    C = a.bracket
     zero_d = [Fraction(0)] * d
     rows: Dict[Tuple[int, ...], List[Fraction]] = {
         t: list(v.entries) + zero_d for t, v in C.coeffs.items()}
@@ -248,23 +243,18 @@ def tstar_extension(a: HomNambuAlgebra, form: BilinearForm,
     if omega is None:
         ext = _finish(HomNambuAlgebra(2 * d, n, bracket, (Matrix.identity(2 * d),) * (n - 1)),
                       "T*-extension", verify, max_tuples)
-        struct = QuadraticStructure(ext, big_form)
-        if verify:
-            _require(check_quadratic(struct, max_tuples), "T*-extension form")
-        return TStarResult(struct)
+        return _quadratic(QuadraticStructure(ext, big_form), "T*-extension form",
+                          verify, max_tuples)
 
     _require_twisting(a, form, omega, "omega", max_tuples)
     big_omega = _blocks((omega, zero), (zero, omega.T))
     twisted = _finish(_twisted(bracket, big_omega, big_omega), "twisted T*-extension",
                       verify, max_tuples, twisting=True)
-    struct = QuadraticStructure(twisted, big_form, beta=big_omega)
-    omega_form = BilinearForm(2 * d, big_omega.T @ big_form.gram)
-    if verify:
-        _require(check_quadratic(struct, max_tuples),
-                 "twisted T*-extension Hom-quadratic form")
-        _require(check_quadratic(QuadraticStructure(twisted, omega_form), max_tuples),
-                 "twisted T*-extension pulled-back form")
-    return TStarResult(struct, omega=big_omega, omega_form=omega_form)
+    q = _quadratic(QuadraticStructure(twisted, big_form, beta=big_omega),
+                   "twisted T*-extension Hom-quadratic form", verify, max_tuples)
+    _quadratic(QuadraticStructure(twisted, BilinearForm(2 * d, big_omega.T @ big_form.gram)),
+               "twisted T*-extension pulled-back form", verify, max_tuples)
+    return q
 
 
 def pullback_form(form: BilinearForm, m: Matrix) -> BilinearForm:
@@ -279,7 +269,8 @@ def trace_induced_ternary(l: HomLeibnizAlgebra, gamma: Matrix, tau: Vector,
                           beta: Optional[Matrix] = None,
                           verify: bool = True, max_tuples: Optional[int] = None):
     """Ternary bracket tau(x)[y,z] + tau(y)[z,x] + tau(z)[x,y] with twist
-    pair (twist, gamma); optionally carries a form into a quadratic output."""
+    pair (twist, gamma); with a form, returns the quadratic structure it
+    carries."""
     d = l.dim
     alpha = l.twist
     _require(check_skew_symmetry(l.as_nambu(), max_tuples), "input bracket skew-symmetry")
@@ -315,10 +306,8 @@ def trace_induced_ternary(l: HomLeibnizAlgebra, gamma: Matrix, tau: Vector,
     if any(tau[i] * m[j, k] != tau[j] * m[i, k]
            for i in range(d) for j in range(d) for k in range(d)):
         raise ConstructionError("compatibility tau(x) B(beta y, z) = tau(y) B(beta x, z) fails")
-    struct = QuadraticStructure(tern, form, beta=beta)
-    if verify:
-        _require(check_quadratic(struct, max_tuples), "trace-induced quadratic structure")
-    return tern, struct
+    return _quadratic(QuadraticStructure(tern, form, beta=beta),
+                      "trace-induced quadratic structure", verify, max_tuples)
 
 
 _RAISE_SIZE_LIMIT = 1_000_000
@@ -353,10 +342,8 @@ def raise_arity(q: QuadraticStructure, k: int, verify: bool = True,
         arity = new_arity
     out = _finish(HomNambuAlgebra(d, arity, C, (alpha_pow,) * (arity - 1)),
                   "raised-arity algebra", verify, max_tuples)
-    struct = QuadraticStructure(out, q.form, beta=beta)
-    if verify:
-        _require(check_quadratic(struct, max_tuples), "raised-arity quadratic structure")
-    return struct
+    return _quadratic(QuadraticStructure(out, q.form, beta=beta),
+                      "raised-arity quadratic structure", verify, max_tuples)
 
 
 def reduce_arity(q: QuadraticStructure, fixed: Sequence[Vector], verify: bool = True,
@@ -382,10 +369,8 @@ def reduce_arity(q: QuadraticStructure, fixed: Sequence[Vector], verify: bool = 
 
     out = _finish(HomNambuAlgebra(d, n - k, C.fix(fixed), tuple(a.twists[k:])),
                   "reduced-arity algebra", verify, max_tuples)
-    struct = QuadraticStructure(out, q.form, beta=q.beta)
-    if verify:
-        _require(check_quadratic(struct, max_tuples), "reduced-arity quadratic structure")
-    return struct
+    return _quadratic(QuadraticStructure(out, q.form, beta=q.beta),
+                      "reduced-arity quadratic structure", verify, max_tuples)
 
 
 def centroid_twisted_bracket(a: HomNambuAlgebra, theta: Matrix, p: int,

@@ -18,19 +18,20 @@ from .algebra import (BilinearForm, BracketTensor, HomLeibnizAlgebra,
 from .checks import (CheckReport, _compare, check_hom_leibniz,
                      check_hom_nambu_identity, check_multiplicativity,
                      check_quadratic, check_skew_symmetry)
-from .constructions import ConstructionError, _finish, _require, _require_twisting, _twisted
+from .constructions import (ConstructionError, _finish, _quadratic, _require,
+                            _require_twisting, _twisted)
 from .linalg import Matrix, Vector, kron, solve_matrix
 
 
 @dataclass(frozen=True)
-class QuadraticLieAlgebra:
+class QuadraticLieAlgebra(QuadraticStructure):
     """A binary skew bracket with identity twist and an invariant
-    nondegenerate symmetric form."""
-
-    algebra: HomNambuAlgebra
-    form: BilinearForm
+    nondegenerate symmetric form: a quadratic structure without beta."""
 
     def __post_init__(self):
+        super().__post_init__()
+        if self.beta is not None:
+            raise ValueError("a quadratic Lie algebra has no beta")
         if self.algebra.arity != 2:
             raise ValueError("expected a binary bracket")
         if not self.form.nondegenerate:
@@ -44,7 +45,7 @@ class QuadraticLieAlgebra:
         """Skewness, Jacobi, and invariance reports."""
         return [check_skew_symmetry(self.algebra, max_tuples),
                 check_hom_nambu_identity(self.algebra, max_tuples),
-                check_quadratic(QuadraticStructure(self.algebra, self.form), max_tuples)]
+                check_quadratic(self, max_tuples)]
 
 
 def _actions(g: QuadraticLieAlgebra) -> Tuple[BracketTensor, BracketTensor]:
@@ -112,8 +113,8 @@ def omega_twist_leibniz(g: QuadraticLieAlgebra, alpha: Matrix,
         _require(check_hom_leibniz(out, max_tuples), "twisted tensor Leibniz algebra")
         _require(check_multiplicativity(out.as_nambu(), max_tuples),
                  "twisted tensor Leibniz multiplicativity")
-        _require(check_quadratic(QuadraticStructure(out.as_nambu(), form), max_tuples),
-                 "twisted tensor Leibniz form")
+    _quadratic(QuadraticStructure(out.as_nambu(), form), "twisted tensor Leibniz form",
+               verify, max_tuples)
     return out, form
 
 
@@ -132,13 +133,10 @@ def faulkner_ternary(g: QuadraticLieAlgebra, alpha: Optional[Matrix] = None,
     if alpha is None:
         tern = _finish(HomNambuAlgebra(d, 3, bracket, (Matrix.identity(d),) * 2),
                        "ternary algebra", verify, max_tuples)
-        struct, what = QuadraticStructure(tern, g.form), "ternary quadratic structure"
-    else:
-        _require_twisting(g.algebra, g.form, alpha, "alpha", max_tuples)
-        tern = _finish(_twisted(bracket, alpha, alpha), "twisted ternary", verify, max_tuples,
-                       twisting=True)
-        struct = QuadraticStructure(tern, BilinearForm(d, alpha.T @ gram))
-        what = "twisted ternary quadratic structure"
-    if verify:
-        _require(check_quadratic(struct, max_tuples), what)
-    return struct
+        return _quadratic(QuadraticStructure(tern, g.form), "ternary quadratic structure",
+                          verify, max_tuples)
+    _require_twisting(g.algebra, g.form, alpha, "alpha", max_tuples)
+    tern = _finish(_twisted(bracket, alpha, alpha), "twisted ternary", verify, max_tuples,
+                   twisting=True)
+    return _quadratic(QuadraticStructure(tern, BilinearForm(d, alpha.T @ gram)),
+                      "twisted ternary quadratic structure", verify, max_tuples)

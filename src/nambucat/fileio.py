@@ -28,8 +28,7 @@ COMMON_FIELDS = {"schema_version", "kind", "metadata", "dim", "arity", "bracket"
 OPTIONAL_FIELDS = {"hom_nambu": {"flags", "form", "beta"}, "quadratic_lie": {"flags", "form"},
                    "hom_leibniz": set(), "hom_assoc": set()}
 
-AlgebraLike = Union[HomNambuAlgebra, HomLeibnizAlgebra, HomAssocNAry,
-                    QuadraticStructure, QuadraticLieAlgebra]
+AlgebraLike = Union[HomNambuAlgebra, HomLeibnizAlgebra, HomAssocNAry, QuadraticStructure]
 
 
 class FileFormatError(ValueError):
@@ -116,11 +115,12 @@ def _bracket_from(data, dim: int, arity: int, vdim: int) -> Dict[Tuple[int, ...]
 
 
 def kind_of(obj: AlgebraLike) -> str:
-    """The document kind of a loaded object, read off its type."""
-    inner = obj.algebra if isinstance(obj, QuadraticStructure) else obj
-    for cls, kind in ((QuadraticLieAlgebra, "quadratic_lie"), (HomNambuAlgebra, "hom_nambu"),
-                      (HomLeibnizAlgebra, "hom_leibniz"), (HomAssocNAry, "hom_assoc")):
-        if isinstance(inner, cls):
+    """The document kind of a loaded object, read off its type; the algebra
+    of a quadratic structure is n-ary."""
+    for cls, kind in ((QuadraticLieAlgebra, "quadratic_lie"), (QuadraticStructure, "hom_nambu"),
+                      (HomNambuAlgebra, "hom_nambu"), (HomLeibnizAlgebra, "hom_leibniz"),
+                      (HomAssocNAry, "hom_assoc")):
+        if isinstance(obj, cls):
             return kind
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
@@ -131,8 +131,6 @@ def to_document(obj: AlgebraLike, name: Optional[str] = None,
     form = beta = None
     if isinstance(obj, QuadraticStructure):
         form, beta, obj = obj.form, obj.beta, obj.algebra
-    elif isinstance(obj, QuadraticLieAlgebra):
-        form, obj = obj.form, obj.algebra
     flags, arity = {}, 2
     if isinstance(obj, HomNambuAlgebra):
         bracket, twists, arity = obj.bracket, obj.twists, obj.arity

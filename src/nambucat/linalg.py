@@ -413,9 +413,8 @@ def rref(m: Matrix) -> tuple:
 
 
 def rank(m: Matrix) -> int:
-    """Exact rank."""
-    _, pivots = _rref(m.row_list())
-    return len(pivots)
+    """Exact rank: the number of pivots of the echelon form of m's rows."""
+    return len(_echelon((dict(enumerate(row)) for row in m.row_list()), m.cols))
 
 
 def nullspace(m) -> list:

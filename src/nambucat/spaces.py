@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .algebra import (BracketTensor, HomAssocNAry, HomLeibnizAlgebra, HomNambuAlgebra,
                       adjoint_operator)
 from .checks import CheckReport, _compare, check_hom_leibniz, check_skew_symmetry
-from .linalg import Matrix, SparseMatrix, Vector, in_span, nullspace
+from .linalg import Matrix, SparseMatrix, Vector, in_span, kron, nullspace, rref
 
 
 @dataclass(frozen=True)
@@ -207,7 +207,6 @@ def _derived_span(a: HomNambuAlgebra) -> List[Vector]:
     vals = list(a.bracket.coeffs.values())     # stored values span the signed copies too
     if not vals:
         return []
-    from .linalg import rref
     reduced, pivots = rref(Matrix.trusted(len(vals), a.bracket.vdim,
                                           [x for v in vals for x in v.entries]))
     return [reduced.row(i) for i in range(len(pivots))]
@@ -321,7 +320,6 @@ def tensor_centroid_derivation(h: HomAssocNAry, a: HomNambuAlgebra,
     checked as a level-k centroid element composed with derivation behavior on
     the product. Returns the Kronecker map and its verified membership report."""
     from .constructions import tensor_product
-    from .linalg import kron
     if not assoc_centroid_membership(h, f, k).passed:
         raise ValueError("f is not a centroid element of the associative factor")
     checks = {"centroid": (centroid_membership, "a centroid element"),

@@ -71,6 +71,13 @@ def filippov(d):
                            (Matrix.identity(d),) * (d - 2), multiplicative=True)
 
 
+def ones_assoc(d, n):
+    """The n-ary product on dim d with every entry (1, .., 1), identity twists."""
+    ones = Vector([F(1)] * d)
+    mu = BracketTensor(d, n, {t: ones for t in itertools.product(range(d), repeat=n)})
+    return HomAssocNAry(d, n, mu, (Matrix.identity(d),) * (n - 1))
+
+
 @pytest.fixture(scope="session")
 def sum5(s4):
     """(1-dim trivial) + (4-dim simple 3-Lie), the trivial summand last."""

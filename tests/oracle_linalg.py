@@ -5,13 +5,15 @@ of its own regex match: the string was checked by the regex, then parsed a
 second time by ``Fraction(str)``.  The arithmetic below is ``Vector`` and
 ``Matrix`` arithmetic from before its results were built with the trusted
 constructors: each result went through the public ``Vector(...)`` or
-``Matrix(...)``, which run every entry through ``frac`` again.  Tests compare
-the library against both."""
+``Matrix(...)``, which run every entry through ``frac`` again.  ``rank`` is
+the rank from before it counted the pivots of the echelon form directly: it
+built the padded reduced rows of ``_rref`` and kept only their pivot list.
+Tests compare the library against them."""
 
 import re
 from fractions import Fraction
 
-from nambucat.linalg import Matrix, Vector
+from nambucat.linalg import Matrix, Vector, _rref
 
 _FRAC_RE = re.compile(r"[+-]?\d+(/\d+)?")
 
@@ -104,3 +106,9 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
                 for l in range(b.cols):
                     out.append(aij * b[k, l])
     return Matrix(a.rows * b.rows, a.cols * b.cols, out)
+
+
+def rank(m: Matrix) -> int:
+    """Exact rank."""
+    _, pivots = _rref(m.row_list())
+    return len(pivots)

@@ -83,12 +83,14 @@ def test_criterion_04_tstar_extension(s4):
     form = BilinearForm.standard(4)
     plain = tstar_extension(s4.algebra, form)
     r1 = check_hom_nambu_identity(plain.algebra)
-    invariance = check_quadratic(plain.structure)   # form invariance, no twist
-    rk = rank(plain.structure.form.gram)
+    invariance = check_quadratic(plain)     # form invariance, no twist
+    rk = rank(plain.form.gram)
     twisted = tstar_extension(s4.algebra, form, omega=SIGN4)
-    r2 = check_quadratic(twisted.structure)         # twist in the form identity
+    r2 = check_quadratic(twisted)           # twist in the form identity
+    # SIGN4 is diagonal, so omega + omega^T is SIGN4 twice
+    omega = Matrix.diagonal([SIGN4[i, i] for i in range(4)] * 2)
     ok = (r1.passed and invariance.passed and rk == 8
-          and twisted.structure.beta == twisted.omega and r2.passed)
+          and twisted.beta == omega and r2.passed)
     _verdict(4, ok, "8-dim double extension: identity, rank-8 pairing, "
                     "invariance, and the involution-twisted variant")
     assert ok

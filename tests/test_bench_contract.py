@@ -46,6 +46,7 @@ def test_tracer_installs_and_records_layers():
     try:
         nambucat.checks.check_skew_symmetry(sl2)
         nambucat.linalg.rank(Matrix.identity(3))
+        nambucat.linalg.rref(Matrix.identity(3))    # rank does not go through _rref
     finally:
         tracer.uninstall()
     names = [s[0] for s in tracer.spans]

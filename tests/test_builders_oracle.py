@@ -128,7 +128,7 @@ def test_tstar_matches_oracle(name):
     if a.dim in SIGN:
         omega = SIGN[a.dim]
         out = tstar_extension(a, form, omega=omega, verify=False)
-        assert out.algebra.bracket == old.transform([None] * a.arity, out_map=out.omega)
+        assert out.algebra.bracket == old.transform([None] * a.arity, out_map=out.beta)
 
 
 @pytest.mark.parametrize("name", [n for n in NAMBU if _structure(n)[0].multiplicative]

@@ -28,7 +28,7 @@ from nambucat.checks import (_compare, check_hom_leibniz, check_hom_nambu_identi
                              check_total_hom_associativity)
 from nambucat.constructions import (induced_hom_leibniz, raise_arity, self_twist,
                                     tstar_extension, twist_by_morphism)
-from nambucat.faulkner import QuadraticLieAlgebra, faulkner_ternary, tensor_leibniz
+from nambucat.faulkner import faulkner_ternary, tensor_leibniz
 from nambucat.spaces import (assoc_centroid_membership, centroid_membership,
                              compute_centroid, compute_derivations,
                              derivation_membership)
@@ -125,11 +125,11 @@ def _algebra(obj):
 
 
 def _quadratic(obj):
-    """The quadratic structure an object carries, else the standard form."""
+    """The quadratic structure an object carries, else the standard form, as
+    a plain QuadraticStructure, whose form and beta may be replaced (a
+    quadratic Lie algebra refuses a beta and a degenerate form)."""
     if isinstance(obj, QuadraticStructure):
-        return obj
-    if isinstance(obj, QuadraticLieAlgebra):
-        return QuadraticStructure(obj.algebra, obj.form)
+        return QuadraticStructure(obj.algebra, obj.form, obj.beta)
     return QuadraticStructure(obj, BilinearForm.standard(obj.dim))
 
 
@@ -228,9 +228,8 @@ def constructed(ex1, s4, sl2):
     return {
         "raise": raise_arity(ex1, 1),
         "leibniz": induced_hom_leibniz(s4.algebra),
-        "tstar": tstar_extension(s4.algebra, BilinearForm.standard(4)).structure,
-        "tstar-omega": tstar_extension(s4.algebra, BilinearForm.standard(4),
-                                       omega=SIGN4).structure,
+        "tstar": tstar_extension(s4.algebra, BilinearForm.standard(4)),
+        "tstar-omega": tstar_extension(s4.algebra, BilinearForm.standard(4), omega=SIGN4),
         "twist": twist_by_morphism(s4.algebra, SIGN4),
         "self-twist": self_twist(ex1.algebra),
         "faulkner-ternary": faulkner_ternary(sl2),
@@ -476,9 +475,9 @@ def _quadratic_base(name):
     if name == "A4":
         return _quadratic(filippov(4))
     if name == "tstar":
-        return tstar_extension(s4.algebra, BilinearForm.standard(4)).structure
+        return tstar_extension(s4.algebra, BilinearForm.standard(4))
     if name == "tstar-omega":
-        return tstar_extension(s4.algebra, BilinearForm.standard(4), omega=SIGN4).structure
+        return tstar_extension(s4.algebra, BilinearForm.standard(4), omega=SIGN4)
     return _quadratic(corpus.load(name))
 
 
@@ -737,7 +736,7 @@ def test_skew_storage_stays_unexpanded_under_a_common_twist(monkeypatch):
     twist and with the zero twist: every space at k = -1..2, the skew
     identity and invariance never expand skew storage."""
     from nambucat.spaces import compute_center, compute_central_derivations
-    q = tstar_extension(filippov(5), BilinearForm.standard(5)).structure
+    q = tstar_extension(filippov(5), BilinearForm.standard(5))
     a = q.algebra
     d, n = a.dim, a.arity
     twist = Matrix(d, d, [1 if i == j else 1 if j == i + 1 and i % 2 == 0 else 0

@@ -7,8 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from conftest import filippov
-from nambucat import checks, cli, corpus, faulkner, fileio
+from conftest import filippov, ones_assoc
+from nambucat import BracketTensor, checks, cli, corpus, faulkner, fileio
 from nambucat.cli import main
 from test_construct_bytes import PINNED, _argv
 
@@ -327,6 +327,24 @@ def test_constructions_honour_budget(capsys, tmp_path, construction):
     assert not dst.exists()
     code, _, _ = run(capsys, "construct", construction, str(src), "-o", str(dst))
     assert code == 0 and dst.exists()
+
+
+def test_construct_tensor_budget_comes_before_the_build(capsys, tmp_path, monkeypatch):
+    """The tensor product of a 5-ary product on dim 3 with A6 is refused by
+    the budget of its first check (skew symmetry on 18^5 tuples) before the
+    Kronecker bracket is built: exit 1, no file written."""
+    src_h, src_a, dst = tmp_path / "mu.json", tmp_path / "A6.json", tmp_path / "out.json"
+    fileio.save(ones_assoc(3, 5), src_h)
+    fileio.save(filippov(6), src_a)
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("the bracket was built")
+    monkeypatch.setattr(BracketTensor, "kron", no_build)
+    code, out, err = run(capsys, "--max-tuples", "10000", "construct", "tensor",
+                         str(src_h), str(src_a), "-o", str(dst))
+    assert (code, out) == (1, "")
+    assert err == "tuple budget exceeded: check needs 1889568 basis tuples, budget is 10000\n"
+    assert not dst.exists()
 
 
 def test_construct_raise_honours_budget(capsys, tmp_path):

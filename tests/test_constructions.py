@@ -17,8 +17,8 @@ from nambucat import (BilinearForm, BracketTensor, ConstructionError,
                       trace_induced_ternary, tstar_extension,
                       twist_by_morphism)
 from nambucat.algebra import all_tuples, eval_bracket
-from nambucat.faulkner import faulkner_ternary
-from conftest import filippov, zero_algebra
+from nambucat.faulkner import faulkner_ternary, omega_twist_leibniz
+from conftest import filippov, ones_assoc, zero_algebra
 
 
 def sign4():
@@ -68,9 +68,21 @@ def test_tensor_product(dualnum, s4):
 def test_tensor_product_with_forms(dualnum, s4):
     bh = BilinearForm(2, Matrix.from_rows([[F(1), F(0)], [F(0), F(0)]]))
     # B_A(x, y) = x_1 y_1 satisfies B_A(xyz, w) = B_A(x, yzw) on this product
-    alg, q = tensor_product(dualnum, s4.algebra, form_h=bh, form_a=s4)
-    assert q.form.dim == 8
+    q = tensor_product(dualnum, s4.algebra, form_h=bh, form_a=s4)
+    assert isinstance(q, QuadraticStructure) and q.form.dim == 8
     assert check_quadratic(q).passed
+
+
+def test_tensor_budget_comes_before_the_build(monkeypatch):
+    """The skew check of the 18-dim 5-ary tensor product needs 18^5 tuples:
+    a smaller budget refuses it, with the check's own message, before the
+    Kronecker bracket is built."""
+    def no_build(*args, **kwargs):
+        raise AssertionError("the bracket was built")
+    monkeypatch.setattr(BracketTensor, "kron", no_build)
+    with pytest.raises(checks.TupleBudgetExceeded,
+                       match="^check needs 1889568 basis tuples, budget is 10000$"):
+        tensor_product(ones_assoc(3, 5), filippov(6), max_tuples=10000)
 
 
 def test_tensor_arity_mismatch(dualnum, heis):
@@ -119,10 +131,10 @@ def test_induced_leibniz_budget_comes_before_the_build(monkeypatch):
 def test_tstar_extension(s4):
     res = tstar_extension(s4.algebra, BilinearForm.standard(4))
     a = res.algebra
-    assert a.dim == 8 and a.skew
-    assert rank(res.structure.form.gram) == 8
+    assert a.dim == 8 and a.skew and res.beta is None
+    assert rank(res.form.gram) == 8
     assert check_hom_nambu_identity(a).passed
-    assert check_quadratic(res.structure).passed
+    assert check_quadratic(res).passed
     # N part embeds: [e1,e2,e3] still e4
     assert a.bracket.value((0, 1, 2))[3] == 1
     # dual part: one dual argument gives the signed coadjoint term
@@ -132,11 +144,17 @@ def test_tstar_extension(s4):
 
 
 def test_tstar_omega(s4):
-    res = tstar_extension(s4.algebra, BilinearForm.standard(4), omega=sign4())
-    assert res.omega is not None
-    assert check_quadratic(res.structure).passed
-    assert res.structure.beta == res.omega
-    assert res.omega_form is not None and res.omega_form.nondegenerate
+    """The involution on N + N* is omega + omega^T, the output's beta; the
+    form pulled back by it is nondegenerate and invariant."""
+    omega = sign4()
+    res = tstar_extension(s4.algebra, BilinearForm.standard(4), omega=omega)
+    zero = [F(0)] * 4
+    assert res.beta == Matrix.from_rows([list(omega.row(i).entries) + zero for i in range(4)]
+                                        + [zero + list(omega.T.row(i).entries)
+                                           for i in range(4)])
+    assert check_quadratic(res).passed
+    pulled = QuadraticStructure(res.algebra, BilinearForm(8, res.beta.T @ res.form.gram))
+    assert pulled.form.nondegenerate and check_quadratic(pulled).passed
 
 
 def test_tstar_rejects_non_skew(ex1):
@@ -283,6 +301,54 @@ def test_twisted_builders_run_each_flag_check_once(monkeypatch, s4, sl2, name):
     assert str(e.value) == f"{name} multiplicativity: multiplicativity check failed"
     assert e.value.report.detail == "forced"
     assert calls == expected
+
+
+# the name of each quadratic check on an output: (a call of a builder that
+# runs it on the loaded inputs, its place among the builder's quadratic checks)
+QUADRATIC_OUTPUTS = {
+    "tensor product quadratic structure": (lambda f: tensor_product(
+        f("dualnum"), f("s4").algebra, form_h=BilinearForm(2, Matrix.diagonal([1, 0])),
+        form_a=f("s4")), 2),
+    "induced form invariance": (lambda f: induced_hom_leibniz(f("ex1").algebra,
+                                                              form=f("ex1")), 2),
+    "T*-extension form": (lambda f: tstar_extension(f("s4").algebra,
+                                                    BilinearForm.standard(4)), 2),
+    "twisted T*-extension Hom-quadratic form": (lambda f: tstar_extension(
+        f("s4").algebra, BilinearForm.standard(4), omega=sign4()), 2),
+    "twisted T*-extension pulled-back form": (lambda f: tstar_extension(
+        f("s4").algebra, BilinearForm.standard(4), omega=sign4()), 3),
+    "trace-induced quadratic structure": (lambda f: trace_induced_ternary(
+        HomLeibnizAlgebra(3, f("heis").bracket, Matrix.identity(3)), Matrix.identity(3),
+        Vector([0, 0, 1]), form=BilinearForm(3, Matrix.zero(3, 3))), 1),
+    "raised-arity quadratic structure": (lambda f: raise_arity(f("ex1"), 1), 1),
+    "reduced-arity quadratic structure": (lambda f: reduce_arity(
+        QuadraticStructure(f("s4").algebra, BilinearForm.standard(4)), [Vector.basis(4, 3)]), 1),
+    "twisted tensor Leibniz form": (lambda f: omega_twist_leibniz(
+        f("sl2"), Matrix.diagonal([-1, -1, 1])), 1),
+    "ternary quadratic structure": (lambda f: faulkner_ternary(f("sl2")), 1),
+    "twisted ternary quadratic structure": (lambda f: faulkner_ternary(
+        f("sl2"), alpha=Matrix.diagonal([-1, -1, 1])), 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(QUADRATIC_OUTPUTS))
+def test_quadratic_output_checks_keep_their_names(monkeypatch, request, name):
+    """Each quadratic check on an output runs, in its place, and its failure
+    is reported under its own name; the quadratic checks before it pass."""
+    build, place = QUADRATIC_OUTPUTS[name]
+    inputs = {f: request.getfixturevalue(f) for f in ("s4", "sl2", "ex1", "dualnum", "heis")}
+    calls = []
+
+    def forced(q, max_tuples=None):
+        calls.append(q)
+        report = checks.check_quadratic(q, max_tuples)
+        assert report.passed
+        return report if len(calls) < place else replace(report, passed=False, detail="forced")
+    monkeypatch.setattr(constructions, "check_quadratic", forced)
+    with pytest.raises(ConstructionError) as e:
+        build(inputs.get)
+    assert str(e.value) == f"{name}: quadratic check failed"
+    assert e.value.report.detail == "forced" and len(calls) == place
 
 
 # builder: (a call of it on the loaded inputs; the checks it runs, in order)

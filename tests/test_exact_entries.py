@@ -241,7 +241,7 @@ def test_builders_and_representations_hand_out_fractions():
               + tensor_values(tern.bracket) + tensor_values(leib.bracket)
               + tensor_values(adj.rho) + tensor_values(co.rho)
               + tensor_values(varsigma.bracket))
-    matrices = [plain.structure.form.gram, twisted.omega, twisted.omega_form.gram,
+    matrices = [plain.form.gram, twisted.beta, twisted.form.gram,
                 form.gram, varsigma.twist]
     matrices += [rep.operator(t) for rep in (adj, co) for t in rep.rho.coeffs]
     vectors = _derived_span(s4.algebra) + [failure.counterexample.left,

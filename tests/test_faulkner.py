@@ -116,6 +116,11 @@ def test_degenerate_form_rejected(sl2):
         QuadraticLieAlgebra(sl2.algebra, BilinearForm(3, Matrix.zero(3, 3)))
 
 
+def test_beta_rejected(sl2):
+    with pytest.raises(ValueError, match="no beta"):
+        QuadraticLieAlgebra(sl2.algebra, sl2.form, beta=Matrix.identity(3))
+
+
 def test_nonbinary_rejected(s4):
     with pytest.raises(ValueError):
         QuadraticLieAlgebra(s4.algebra, BilinearForm(4, Matrix.identity(4)))

@@ -192,8 +192,8 @@ def test_tensor_form_hypothesis_matches_oracle(dualnum, s4, beta):
         outcomes.add(invariant)
         form = BilinearForm(2, ga)
         if invariant:
-            _, q = tensor_product(dualnum, s4.algebra, form_h=form, beta_h=beta,
-                                  form_a=s4, verify=False)
+            q = tensor_product(dualnum, s4.algebra, form_h=form, beta_h=beta,
+                               form_a=s4, verify=False)
             assert q.beta == kron(beta, Matrix.identity(4))
         else:
             with pytest.raises(ConstructionError, match="not beta-invariant"):

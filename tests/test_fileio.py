@@ -37,6 +37,18 @@ def test_roundtrip_byte_identical(name, tmp_path):
     assert out.read_text() == original
 
 
+def test_quadratic_lie_files_load_as_quadratic_structures():
+    """A quadratic_lie file loads as a QuadraticStructure without beta and is
+    written back under its kind (byte for byte: ``test_roundtrip_byte_identical``)."""
+    names = [n for n in ALL_NAMES if fileio.load_document(_path(n))["kind"] == "quadratic_lie"]
+    assert names
+    for name in names:
+        q = fileio.load(_path(name))
+        assert isinstance(q, QuadraticStructure) and q.beta is None
+        assert fileio.kind_of(q) == "quadratic_lie"
+        assert fileio.to_document(q)["kind"] == "quadratic_lie"
+
+
 @pytest.mark.parametrize("name", ALL_NAMES)
 def test_load_equals_loads(name):
     src = _path(name)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle_linalg
 import oracle_spaces as oracle
 from nambucat.linalg import (Matrix, Vector, det, frac, frac_str, in_span,
                              kron, kron_vec, nullspace, rank, rref, solve,
@@ -160,6 +161,20 @@ def test_elimination_matches_dense_oracle(rows, cols, data):
     w = Vector(data.draw(st.lists(sparse_rationals, min_size=cols, max_size=cols)))
     for v in (w, Vector.zero(cols), sum(basis, Vector.zero(cols))):
         assert in_span(basis, v) == oracle.in_span(basis, v)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 6), st.integers(0, 6), st.integers(0, 6), st.data())
+def test_rank_matches_the_rref_pivot_count(rows, cols, inner, data):
+    """rank against the replaced rank, the pivot list of ``_rref``, on the
+    product of a rows x inner and an inner x cols rational matrix: rank at
+    most inner, so rank-deficient, and wide, tall and empty shapes."""
+    def draw(r, c):
+        return [data.draw(st.lists(rationals, min_size=c, max_size=c)) for _ in range(r)]
+    a, b = draw(rows, inner), draw(inner, cols)
+    m = Matrix(rows, cols, [sum((a[i][k] * b[k][j] for k in range(inner)), F(0))
+                            for i in range(rows) for j in range(cols)])
+    assert rank(m) == oracle_linalg.rank(m) <= min(rows, cols, inner)
 
 
 @settings(max_examples=150, deadline=None)

@@ -4,8 +4,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from nambucat import (Matrix, QuadraticStructure, Vector, check_representation,
-                      corpus)
+from nambucat import (BracketTensor, HomNambuAlgebra, Matrix, QuadraticStructure, Vector,
+                      check_hom_nambu_identity, check_representation, corpus)
 from nambucat.representations import (Representation, adjoint_rep,
                                       coadjoint_rep, rep_isomorphism_psi)
 from nambucat import fileio
@@ -96,3 +96,51 @@ def test_representation_serialization_roundtrip(s4, tmp_path):
     assert back.source_dim == rep.source_dim
     assert back.target_dim == rep.target_dim
     assert fileio.representation_to_document(back) == doc
+
+
+def _semidirect(a, rep):
+    """A + V with A's bracket on A, [x_1, .., x_{n-1}, v] = rho(x) v extended
+    alternating, zero with two arguments in V, and twists alpha_i + nu."""
+    d, n, m = a.dim, a.arity, rep.target_dim
+    coeffs = {t: Vector(list(v.entries) + [0] * m) for t, v in a.bracket.dense_items()}
+    for x, op in rep.rho.dense_items():
+        for k in range(m):
+            col = [op[r * m + k] for r in range(m)]
+            if any(col):
+                coeffs[x + (d + k,)] = Vector([0] * d + col)
+
+    def plus_nu(t):
+        return Matrix.from_rows([list(t.row(i).entries) + [0] * m for i in range(d)]
+                                + [[0] * d + list(rep.nu.row(i).entries) for i in range(m)])
+    return HomNambuAlgebra(d + m, n, BracketTensor.skew_from_entries(d + m, n, coeffs),
+                           tuple(plus_nu(t) for t in a.twists))
+
+
+def _adjoint_of_simple3lie4():
+    a = corpus.load("simple3lie4").algebra
+    return a, adjoint_rep(a)
+
+
+def _shift_on_zero4():
+    """The zero ternary bracket on dim 4, nu = id, and rho(e2, e3) =
+    rho(e1, e4) = N, the 3 x 3 shift (N^2 != 0): the commutator condition
+    holds, every operator being a multiple of N, but the semidirect product
+    fails the fundamental identity at (1, 7, 2, 3, 4)."""
+    a = HomNambuAlgebra(4, 3, BracketTensor(4, 3, {}, skew_storage=True),
+                        (Matrix.identity(4),) * 2)
+    n = Matrix(3, 3, [int(c == r + 1) for r in range(3) for c in range(3)]).flatten()
+    rho = BracketTensor(4, 2, {(1, 2): n, (2, 1): -n, (0, 3): n, (3, 0): -n}, vdim=9)
+    return a, Representation(4, 3, 3, rho, Matrix.identity(3))
+
+
+@pytest.mark.parametrize("case", [
+    _adjoint_of_simple3lie4,
+    pytest.param(_shift_on_zero4, marks=pytest.mark.xfail(
+        strict=True, reason="check_representation checks the commutator condition only, "
+                            "not the second condition of an n-ary representation"))])
+def test_representation_verdict_matches_the_semidirect_product(case):
+    """rho is a representation exactly when A + V with the semidirect bracket
+    is a Hom-Nambu algebra."""
+    a, rep = case()
+    assert check_representation(a, rep).passed \
+        == check_hom_nambu_identity(_semidirect(a, rep)).passed
