@@ -130,24 +130,25 @@ class BracketTensor:
 
     def free_slot_items(self, slot: int, m: Optional[Matrix] = None
                         ) -> List[Tuple[Tuple[int, ...], Vector]]:
-        """The nonzero entries (t, value) whose slots other than ``slot``
-        strictly increase, of this tensor with the square map ``m`` applied
-        to every slot but ``slot`` (None or the identity: no map).
+        """The nonzero entries (t, value) of this tensor with the square map
+        ``m`` applied to every slot but ``slot`` (None or the identity: no
+        map): on skew storage those whose other slots strictly increase, on
+        dense storage all of them (``dense_items``).
 
         On skew storage they are read off the stored keys without expanding
         them: stored key K gives one entry per position p, with K[p] moved to
         ``slot`` and sign (-1)^(p - slot).  The other slots R = K minus K[p]
         of that entry spread over the increasing J with coefficient
         det(m[R, J]), an (n-1)-minor of m (without a map, J = R only), and
-        the entries that land on one key are summed.  Dense storage is
-        rejected with ``ValueError``.
+        the entries that land on one key are summed.
         """
-        if not self.skew_storage:
-            raise ValueError("free slots are read off skew storage only")
         if m is not None and _is_identity(m, self.dim):
             m = None
         if m is not None and (m.rows != self.dim or m.cols != self.dim):
             raise ValueError("slot map has wrong shape")
+        if not self.skew_storage:
+            return (self if m is None else self.transform(
+                [None if k == slot else m for k in range(self.arity)])).dense_items()
         minors: Dict[Tuple[int, ...], Dict[Tuple[int, ...], Fraction]] = {}
         acc: Dict[Tuple[int, ...], Vector] = {}
         summed = set()      # the keys of several terms, the only ones that may cancel

@@ -110,28 +110,20 @@ def _tuple_count(dim: int, length: int, skew: bool) -> int:
     return comb(dim, length) if skew else dim ** length
 
 
-def _entries(x) -> Dict[Tuple[int, ...], Vector]:
-    if not isinstance(x, BracketTensor):
-        return x
-    return dict(x.dense_items()) if x.skew_storage else x.coeffs
-
-
-def _compare(identity: str, d: int, n: int, left, right,
+def _compare(identity: str, d: int, n: int, left: BracketTensor, right: BracketTensor,
              detail: Optional[str] = None) -> CheckReport:
-    """Compare two sparse n-linear maps on d-dimensional arguments, each a
-    BracketTensor or a {basis tuple: nonzero Vector} map (absent keys zero).
+    """Compare two sparse n-linear maps on d-dimensional arguments.
 
-    Only stored keys are visited. A failure reports the first differing
+    Only nonzero entries are visited. A failure reports the first differing
     tuple in lexicographic order, and ``tuples_checked`` is that tuple's
     position in ``all_tuples`` order, as the exhaustive loop would count.
     Two skew-storage tensors are compared on their increasing keys alone:
     their difference alternates, and the sorted arrangement of distinct
     indices is the least in lexicographic order, so the first differing
     tuple is an increasing one."""
-    if all(isinstance(x, BracketTensor) and x.skew_storage for x in (left, right)):
-        left, right = left.coeffs, right.coeffs
-    else:
-        left, right = _entries(left), _entries(right)
+    both = left.skew_storage and right.skew_storage
+    left, right = (x.coeffs if both or not x.skew_storage else dict(x.dense_items())
+                   for x in (left, right))
     first = None
     for t in left.keys() | right.keys():
         if (first is None or t < first) and left.get(t) != right.get(t):
@@ -151,13 +143,21 @@ def _compare_transpositions(identity: str, tensor: BracketTensor, sign: int,
     """tensor(t) against sign * tensor(t with slots k, k+1 swapped) for every
     adjacent transposition k; reports the first failing (t, k)."""
     d, n = tensor.dim, tensor.arity
-    items = _entries(tensor)
-    reports = [_compare(identity, d, n, items,
-                        {t[:k] + (t[k + 1], t[k]) + t[k + 2:]: v if sign > 0 else -v
-                         for t, v in items.items()},
+    reports = [_compare(identity, d, n, tensor,
+                        BracketTensor.combine([(sign, tensor.permute(
+                            list(range(k)) + [k + 1, k] + list(range(k + 2, n))))]),
                         detail or f"transposition of slots {k + 1},{k + 2}")
                for k in range(n - 1)]
     return _first(identity, d ** n, reports)
+
+
+def _intertwines(identity: str, C: BracketTensor, f: Matrix,
+                 maps: Sequence[Matrix], D: Optional[BracketTensor] = None) -> CheckReport:
+    """f(C(x_1, .., x_n)) against D(M_1 x_1, .., M_n x_n), with D = C unless
+    given: the comparison behind multiplicativity, morphisms and centroids."""
+    n = C.arity
+    return _compare(identity, C.dim, n, C.transform([None] * n, out_map=f),
+                    (C if D is None else D).transform(maps))
 
 
 def _first(identity: str, count: int, reports) -> CheckReport:
@@ -192,7 +192,7 @@ def check_hom_nambu_identity(a: HomNambuAlgebra,
     side = [C.transform(_twist_slots(a.twists, n, i)) for i in range(n)]
     # the nonzero coordinates (j, c) of [y], for every nonzero [y]
     nonzero = {y: [(j, c) for j, c in enumerate(w.entries) if c]
-               for y, w in _entries(C).items()}
+               for y, w in C.dense_items()}
 
     checked = 0
     for x in all_tuples(d, n - 1):
@@ -298,9 +298,7 @@ def check_multiplicativity(a: HomNambuAlgebra,
         return CheckReport("multiplicativity", False, None, 0, detail="twists differ")
     alpha = a.twists[0]
     _budget(d ** n, max_tuples)
-    return _compare("multiplicativity", d, n,
-                    a.bracket.transform([None] * n, out_map=alpha),
-                    a.bracket.transform([alpha] * n))
+    return _intertwines("multiplicativity", a.bracket, alpha, [alpha] * n)
 
 
 def check_total_hom_associativity(h: HomAssocNAry,
@@ -359,7 +357,7 @@ def check_quadratic(q: QuadraticStructure,
     rows: Dict[Tuple[int, ...], Dict[int, tuple]] = {}    # x -> {i: W(x, i)}
     # skew storage alternates in x, and the sorted arrangement of x is the
     # least, so increasing x suffice, read off the stored keys
-    for t, v in W.free_slot_items(n - 1) if W.skew_storage else W.coeffs.items():
+    for t, v in W.free_slot_items(n - 1):
         rows.setdefault(t[:-1], {})[t[-1]] = v.entries
     zero = (0,) * d
     for x in sorted(rows):
@@ -391,8 +389,7 @@ def check_morphism(src: HomNambuAlgebra, dst: HomNambuAlgebra,
             return CheckReport("morphism", False, None, 0,
                                detail=f"f does not intertwine twist {i + 1}")
     _budget(d ** n, max_tuples)
-    return _compare("morphism", d, n, src.bracket.transform([None] * n, out_map=f),
-                    dst.bracket.transform([f] * n))
+    return _intertwines("morphism", src.bracket, f, [f] * n, dst.bracket)
 
 
 def _matrix_product(m: int) -> BracketTensor:

@@ -136,10 +136,6 @@ def _as_quadratic(obj, what: str) -> QuadraticStructure:
     return quad if quad is not None else QuadraticStructure(a, BilinearForm.standard(a.dim))
 
 
-def _as_nambu(obj, what: str) -> HomNambuAlgebra:
-    return _as_quadratic(obj, what).algebra
-
-
 def cmd_construct(args) -> int:
     sub = args.construction
     budget = args.max_tuples
@@ -147,22 +143,23 @@ def cmd_construct(args) -> int:
     provenance = f"constructed by '{sub}' from {', '.join(map(os.path.basename, args.inputs))}"
 
     if sub == "twist":
-        a = _as_nambu(objs[0], sub)
+        a = _as_quadratic(objs[0], sub).algebra
         out = constructions.twist_by_morphism(a, fileio.matrix_from_file(args.rho, a.dim),
                                               max_tuples=budget)
     elif sub == "self-twist":
-        out = constructions.self_twist(_as_nambu(objs[0], sub), max_tuples=budget)
+        out = constructions.self_twist(_as_quadratic(objs[0], sub).algebra, max_tuples=budget)
     elif sub == "tensor":
         h, a = objs
         if not isinstance(h, HomAssocNAry):
             raise UsageError("first tensor input must be a hom_assoc file")
-        out = constructions.tensor_product(h, _as_nambu(a, sub), max_tuples=budget)
+        out = constructions.tensor_product(h, _as_quadratic(a, sub).algebra, max_tuples=budget)
     elif sub == "leibniz":
-        out = constructions.induced_hom_leibniz(_as_nambu(objs[0], sub), max_tuples=budget)
+        out = constructions.induced_hom_leibniz(_as_quadratic(objs[0], sub).algebra,
+                                                max_tuples=budget)
     elif sub == "tstar":
-        a = _as_nambu(objs[0], sub)
+        a = _as_quadratic(objs[0], sub).algebra
         form = BilinearForm.standard(a.dim) if args.form in (None, "identity") \
-            else BilinearForm(a.dim, fileio.matrix_from_file(args.form, a.dim))
+            else fileio.form_from_matrix(fileio.matrix_from_file(args.form, a.dim))
         omega = fileio.matrix_from_file(args.omega, a.dim) if args.omega else None
         out = constructions.tstar_extension(a, form, omega=omega, max_tuples=budget)
     elif sub == "trace-ternary":
@@ -184,7 +181,7 @@ def cmd_construct(args) -> int:
         fixed = [fileio.vector_from_file(p, q.algebra.dim) for p in args.fixed]
         out = constructions.reduce_arity(q, fixed, max_tuples=budget)
     elif sub == "centroid-bracket":
-        a = _as_nambu(objs[0], sub)
+        a = _as_quadratic(objs[0], sub).algebra
         out = constructions.centroid_twisted_bracket(
             a, fileio.matrix_from_file(args.theta, a.dim), args.p, max_tuples=budget)
     elif sub == "pullback-form":
@@ -219,7 +216,7 @@ def cmd_solve(args) -> int:
         raise UsageError(f"twist power k must be >= -1 (alpha^-1 = 0, alpha^0 = id), "
                          f"got {args.k}")
     obj = fileio.load(args.file, max_tuples=args.max_tuples)
-    a = _as_nambu(obj, "solve")
+    a = _as_quadratic(obj, "solve").algebra
     basis = (spaces.compute_centroid(a, args.k) if args.space == "centroid"
              else spaces.compute_derivations(a, args.k) if args.space == "derivations"
              else spaces.compute_center(a) if args.space == "center"
@@ -312,7 +309,8 @@ CONSTRUCTIONS = {
                                    help="vector file of a fixed argument; repeatable")}),
     "centroid-bracket": (1, {"--theta": dict(required=True,
                                              help="centroid element matrix file"),
-                             "-p": dict(type=int, default=1,
+                             "-p": dict(type=int, default=1, metavar="P",
+                                        action=_at_least(1),
                                         help="number of twisted slots")}),
     "pullback-form": (1, {"--map": dict(required=True, help="form-symmetric matrix file")}),
     "faulkner": (1, {"--alpha": dict(help="involution matrix file"),

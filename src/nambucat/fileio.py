@@ -200,12 +200,8 @@ def _decode(doc: dict, verify: bool, max_tuples: Optional[int],
         return HomLeibnizAlgebra(dim, BracketTensor(dim, 2, items), twists[0])
     if kind == "hom_assoc":
         return HomAssocNAry(dim, arity, BracketTensor(dim, arity, items), twists)
-    form = None
-    if doc.get("form") is not None:
-        gram = _mat_from(doc["form"], dim, dim, "form")
-        if not gram.is_symmetric():
-            raise FileFormatError("form must be a symmetric matrix")
-        form = BilinearForm(dim, gram)
+    form = None if doc.get("form") is None else \
+        form_from_matrix(_mat_from(doc["form"], dim, dim, "form"))
     beta = None if doc.get("beta") is None else _mat_from(doc["beta"], dim, dim, "beta")
 
     flags = doc.get("flags", {})
@@ -351,6 +347,14 @@ def matrix_from_file(path, dim: Optional[int] = None) -> Matrix:
     if dim is not None and (m.rows != dim or m.cols != dim):
         raise FileFormatError(f"expected a {dim}x{dim} matrix")
     return m
+
+
+def form_from_matrix(gram: Matrix) -> BilinearForm:
+    """The bilinear form of a Gram matrix read from a file, which must be
+    symmetric."""
+    if not gram.is_symmetric():
+        raise FileFormatError("form must be a symmetric matrix")
+    return BilinearForm(gram.rows, gram)
 
 
 def vector_from_file(path, dim: int) -> Vector:

@@ -22,7 +22,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import (BracketTensor, HomAssocNAry, HomLeibnizAlgebra, HomNambuAlgebra,
                       adjoint_operator)
-from .checks import CheckReport, _compare, check_hom_leibniz, check_skew_symmetry
+from .checks import (CheckReport, _compare, _intertwines, check_hom_leibniz,
+                     check_skew_symmetry)
 from .linalg import Matrix, SparseMatrix, Vector, in_span, kron, nullspace, rref
 
 
@@ -64,31 +65,25 @@ def _assemble(d: int, width: int, lhs: Optional[BracketTensor],
     leaves the nullspace as it is.  Rows that vanish and repeats of an
     earlier row are dropped.
 
-    When the patterns have skew storage the equations alternate in the
-    slots from f on, with f = 1 when every pattern sits in slot 0 (the
-    centroid and the center) and f = 0 otherwise, so only t with t[f:]
+    When the patterns (and lhs, which must share their storage) have skew
+    storage the equations alternate in the slots from f on, with f = 1
+    when every pattern sits in slot 0 (the centroid and the center) and
+    f = 0 otherwise, so only t with t[f:]
     strictly increasing is assembled, one equation per orbit: the others
-    repeat or negate it, or vanish.  The entries are then read through
-    ``free_slot_items``, which applies M by minors without expanding the
-    storage.
+    repeat or negate it, or vanish.  Every entry is read through
+    ``free_slot_items``, which on skew storage gives those with t[f:]
+    increasing, M applied by minors without expanding the storage.
     """
-    free = None
-    if all(pattern.skew_storage for _, pattern, _ in patterns):
-        free = 1 if all(i == 0 for i, _, _ in patterns) else 0
+    between = (all(pattern.skew_storage for _, pattern, _ in patterns)
+               and any(i for i, _, _ in patterns))      # f = 0
 
     def entries(tensor, i, m):
         """(key, value, the values slot i of an assembled t may take)."""
-        if free is None:
-            if m is not None:
-                tensor = tensor.transform([None if j == i else m
-                                           for j in range(tensor.arity)])
-            return [(key, vec, range(width)) for key, vec in tensor.dense_items()]
-        if free == 1:
-            return [(key, vec, range(width)) for key, vec in tensor.free_slot_items(0, m)]
-        # free == 0: slot i lies strictly between its neighbours
-        return [(key, vec, range(key[i - 1] + 1 if i else 0,
-                                 key[i + 1] if i + 1 < len(key) else width))
-                for key, vec in tensor.free_slot_items(i, m)]
+        if between:         # slot i lies strictly between its neighbours
+            return [(key, vec, range(key[i - 1] + 1 if i else 0,
+                                     key[i + 1] if i + 1 < len(key) else width))
+                    for key, vec in tensor.free_slot_items(i, m)]
+        return [(key, vec, range(width)) for key, vec in tensor.free_slot_items(i, m)]
 
     lhs_items = entries(lhs, 0, None) if lhs is not None else []
     pattern_items = [(i, entries(pattern, i, m)) for i, pattern, m in patterns]
@@ -137,18 +132,10 @@ def compute_centroid(a: HomNambuAlgebra, k: int) -> SubspaceBasis:
     return _matrix_nullspace_basis(_assemble(d, d, a.bracket, [(0, a.bracket, pw)]), d)
 
 
-def _centroid_report(identity: str, bracket: BracketTensor, f: Matrix,
-                     pw: Matrix) -> CheckReport:
-    """f([x_1..x_n]) against [f x_1, pw x_2, ..., pw x_n] on basis tuples."""
-    n = bracket.arity
-    return _compare(identity, bracket.dim, n,
-                    bracket.transform([None] * n, out_map=f),
-                    bracket.transform([f] + [pw] * (n - 1)))
-
-
 def centroid_membership(a: HomNambuAlgebra, theta: Matrix, k: int) -> CheckReport:
     """Direct check of the centroid equations for one candidate map."""
-    return _centroid_report("centroid_membership", a.bracket, theta, _twist_power(a, k))
+    return _intertwines("centroid_membership", a.bracket, theta,
+                        [theta] + [_twist_power(a, k)] * (a.arity - 1))
 
 
 def compute_derivations(a: HomNambuAlgebra, k: int) -> SubspaceBasis:
@@ -309,7 +296,8 @@ def varsigma_hom_lie(a: HomNambuAlgebra,
 def assoc_centroid_membership(h: HomAssocNAry, f: Matrix, k: int) -> CheckReport:
     """Centroid equations for an n-ary multiplication: f(mu(x_1..x_n)) =
     mu(f x_1, eta^k x_2, ..., eta^k x_n)."""
-    return _centroid_report("assoc_centroid_membership", h.mu, f, _twist_power(h, k))
+    return _intertwines("assoc_centroid_membership", h.mu, f,
+                        [f] + [_twist_power(h, k)] * (h.arity - 1))
 
 
 def tensor_centroid_derivation(h: HomAssocNAry, a: HomNambuAlgebra,

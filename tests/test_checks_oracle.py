@@ -567,7 +567,7 @@ def test_skew_transform_matches_dense_oracle(case, data):
 @given(skew_cases(), st.data())
 def test_skew_compare_matches_dense_oracle(case, data):
     """Two skew-storage tensors compared on stored keys give the report of the
-    comparison of their expanded entries."""
+    comparison of their dense-storage twins."""
     d, n, vdim, left = case
     how = data.draw(st.sampled_from(("random", "perturbed", "mapped", "equal")))
     if how == "random":
@@ -584,7 +584,8 @@ def test_skew_compare_matches_dense_oracle(case, data):
         right = BracketTensor(d, n, dict(left.coeffs), skew_storage=True, vdim=vdim)
     assert left.skew_storage and right.skew_storage
     new = _compare("skew", d, n, left, right)
-    old = _compare("skew", d, n, dict(left.dense_items()), dict(right.dense_items()))
+    old = _compare("skew", d, n, *(BracketTensor(d, n, dict(x.dense_items()), vdim=vdim)
+                                   for x in (left, right)))
     assert new.to_json() == old.to_json()
 
 
@@ -686,13 +687,15 @@ def test_mapped_free_slot_items_reject_a_rectangular_map():
         C.free_slot_items(1, Matrix.zero(4, 3))
 
 
-def test_free_slot_items_reject_dense_storage():
-    """Only skew storage is read off its keys; a dense tensor is refused,
-    with or without a map."""
+def test_free_slot_items_read_dense_storage_through_transform():
+    """Dense storage has no stored keys to read a free slot off: every entry
+    of the tensor with the map in the other slots is given, as ``transform``
+    builds it, with or without a map."""
     C = BracketTensor(4, 3, dict(filippov(4).bracket.dense_items()))
-    for m in (None, Matrix.identity(4), Matrix.zero(4, 4)):
-        with pytest.raises(ValueError, match="skew storage only"):
-            C.free_slot_items(1, m)
+    assert C.free_slot_items(1) == C.dense_items()
+    for m in (Matrix.identity(4), Matrix.zero(4, 4), SIGN4):
+        assert C.free_slot_items(1, m) == C.transform([m, None, m]).dense_items()
+    assert C.free_slot_items(1, SIGN4) != C.dense_items()
 
 
 @st.composite

@@ -74,6 +74,18 @@ def test_verify_text_format(capsys):
         json.loads(out)
 
 
+def test_verify_text_format_shows_warnings_and_details(capsys):
+    """A text line carries a report's warnings in brackets and its detail
+    after a dash."""
+    path = cp("example2")
+    code, out, _ = run(capsys, "--format", "text", "verify", path)
+    assert code == 1
+    assert out.splitlines()[-1] == (f"{path}: quadratic: FAIL (9 tuples) "
+                                    "[form is degenerate: rank 1 < dim 3]")
+    assert run(capsys, "--format", "text", "verify", path, "multiplicative") == (
+        1, f"{path}: multiplicativity: FAIL (0 tuples) -- twists differ\n", "")
+
+
 def test_format_flag_after_subcommand(capsys):
     code1, out1, _ = run(capsys, "verify", "--format", "text", cp("zero2"))
     code2, out2, _ = run(capsys, "--format", "text", "verify", cp("zero2"))
@@ -450,6 +462,55 @@ def test_construct_raise_k_below_one_is_a_usage_error(capsys, tmp_path, name, k)
     assert err.startswith("usage: nambucat construct raise ")
     assert err.splitlines()[-1].endswith(f"error: argument -k: K must be >= 1, got {k}")
     assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("p", ["0", "-3"])
+def test_construct_centroid_bracket_p_below_one_is_a_usage_error(capsys, tmp_path, p):
+    """No slot count below 1 twists a bracket: the parser refuses it, and
+    nothing is written; a p above the arity depends on the input and stays
+    a construction failure."""
+    out = tmp_path / "cb.json"
+    argv = _argv("centroid-bracket simple3lie4 --theta three4", tmp_path)
+    code, stdout, err = run(capsys, "construct", *argv, "-p", p, "-o", str(out))
+    assert (code, stdout) == (2, "")
+    assert err.startswith("usage: nambucat construct centroid-bracket ")
+    assert err.splitlines()[-1].endswith(f"error: argument -p: P must be >= 1, got {p}")
+    assert "Traceback" not in err
+    assert not out.exists()
+    assert run(capsys, "construct", *argv, "-p", "4", "-o", str(out)) == (
+        1, "", "construction failure: p must be between 1 and the arity\n")
+    assert not out.exists()
+
+
+def test_construct_tstar_refuses_a_non_symmetric_form(capsys, tmp_path):
+    """A --form matrix that is not symmetric is a file error, as the form of
+    an algebra file is: exit 2, and nothing written."""
+    form = tmp_path / "form.json"
+    form.write_text(json.dumps({"matrix": [["1", "2", "0", "0"], ["0", "1", "0", "0"],
+                                           ["0", "0", "1", "0"], ["0", "0", "0", "1"]]}))
+    out = tmp_path / "tstar.json"
+    assert run(capsys, "construct", "tstar", cp("simple3lie4"), "--form", str(form),
+               "-o", str(out)) == (2, "", "error: form must be a symmetric matrix\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("words, message", [
+    ("raise dualnumbers3", "raise: expected an n-ary algebra file"),
+    ("tensor heisenberg3 heisenberg3", "first tensor input must be a hom_assoc file"),
+    ("trace-ternary simple3lie4 --gamma gamma3 --tau tau3",
+     "trace-ternary input must be binary"),
+    ("trace-ternary dualnumbers3 --gamma gamma3 --tau tau3",
+     "trace-ternary input must be a binary algebra file"),
+    ("pullback-form heisenberg3 --map gamma3", "pullback-form input must carry a form"),
+    ("faulkner simple3lie4", "faulkner input must be a quadratic_lie file"),
+])
+def test_construct_refuses_an_input_of_the_wrong_kind(capsys, tmp_path, words, message):
+    """An input file of a kind the construction does not read is a usage
+    error: exit 2 with one error line, and nothing written."""
+    out = tmp_path / "out.json"
+    assert run(capsys, "construct", *_argv(words, tmp_path), "-o", str(out)) == (
+        2, "", f"error: {message}\n")
     assert not out.exists()
 
 
